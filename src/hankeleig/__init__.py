@@ -1,9 +1,9 @@
 """Extremal eigenpairs of large Hankel tensors.
 
 A Hankel tensor is stored as its generating vector alone; tensor-vector
-products run through an anti-circulant FFT embedding, and extremal Z-, H-,
+products are real-FFT correlations of that vector, and extremal Z-, H-,
 and generalized eigenpairs come from a curvilinear search on the unit
-sphere.  A dense brute-force oracle validates every fast path.
+sphere.  A dense brute-force oracle validates the FFT products.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +20,6 @@ from .dense_oracle import (
 )
 from .fft_products import (
     HankelSpec,
-    NumericalConsistencyError,
     SpectralCache,
     hankel_xm,
     hankel_xm1,
@@ -67,7 +66,6 @@ __all__ = [
     "__version__",
     "HankelSpec",
     "SpectralCache",
-    "NumericalConsistencyError",
     "make_cache",
     "hankel_xm",
     "hankel_xm1",

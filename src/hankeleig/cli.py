@@ -9,7 +9,7 @@ solver over a list of dimensions.
 Exit codes: 0 for a converged solve (or a clean verify), 2 when a solve
 produced no converged result, 1 for usage errors.  All floating point
 output is serialised with 17 significant digits so files round-trip
-exactly.  Result files are written atomically (temp file, then rename).
+exactly; a NaN or infinite value is refused (exit 1).  Result files are written atomically (temp file, then rename).
 The environment variable ``HANKEL_THREADS`` caps the multistart worker
 count (default: the logical core count).
 """
@@ -54,10 +54,9 @@ class _Parser(argparse.ArgumentParser):
 # serialisation helpers
 
 def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
+    # NaN and Infinity are not JSON, and no correct result contains them
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialise the non-finite float {x!r}")
     return format(x, ".17g")
 
 

@@ -2,25 +2,18 @@
 
 An order-``m``, dimension-``n`` Hankel tensor is fully described by its
 generating vector ``v`` of length ``ell = m*(n-1) + 1``: the entry at a
-(zero-based) multi-index ``(i1, ..., im)`` is ``v[i1 + ... + im]``.  Such a
-tensor is the leading block of an anti-circulant tensor of dimension
-``ell``, which is diagonalised by the discrete Fourier transform.  This
-makes the scalar contraction ``H x^m`` and the vector contraction
-``H x^{m-1}`` computable in O(m*n*log(m*n)) time from ``v`` alone, with no
-dense storage.
+(zero-based) multi-index ``(i1, ..., im)`` is ``v[i1 + ... + im]``.  Both
+contractions are therefore correlations of ``v`` with self-convolutions of
+``x``: ``H x^{m-1}`` is the linear correlation of ``v`` with the
+``(m-1)``-fold self-convolution of ``x``, and ``H x^m`` is the dot product
+of ``v`` with the ``m``-fold one.  That self-convolution has length at most
+``ell``, so a real FFT of any length ``size >= ell`` computes both without
+wrap-around, in O(m*n*log(m*n)) time from ``v`` alone and with no dense
+storage.  ``size`` is ``scipy.fft.next_fast_len(ell, real=True)``, which
+keeps the cost a smooth function of ``ell`` whatever its prime factors.
 
 DFT convention: forward transforms are unnormalised and inverse transforms
-carry the ``1/ell`` factor (the numpy/scipy default pairing).  Under this
-convention the spectral diagonal is ``d = idft(v)``.
-
-The embedding length ``ell`` is whatever ``m*(n-1)+1`` happens to be, so a
-direct FFT would inherit the luck of its prime factorisation.  For
-``ell >= _BLUESTEIN_MIN`` the transforms instead use Bluestein's chirp-z
-algorithm over a power-of-two internal convolution: still the exact
-length-``ell`` DFT (the anti-circulant algebra is untouched), but with a
-running time that is a smooth function of ``ell``.  Chirp phases are
-derived from ``k^2 mod 2*ell`` computed in integer arithmetic, which keeps
-them accurate at any size.
+carry the ``1/size`` factor (the numpy/scipy default pairing).
 """
 
 from __future__ import annotations
@@ -33,23 +26,10 @@ import scipy.fft as _fft
 __all__ = [
     "HankelSpec",
     "SpectralCache",
-    "NumericalConsistencyError",
     "make_cache",
     "hankel_xm",
     "hankel_xm1",
 ]
-
-# Below this length a direct FFT is overhead-dominated anyway; above it the
-# size-oblivious Bluestein path keeps the cost profile smooth in ell.
-_BLUESTEIN_MIN = 2048
-
-# A product whose imaginary residue exceeds this (relative) bound indicates
-# a mis-sized embedding or corrupted cache rather than ordinary roundoff.
-_RESIDUE_LIMIT = 1e-8
-
-
-class NumericalConsistencyError(ArithmeticError):
-    """Raised when a mathematically real result has a large imaginary part."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +43,7 @@ class HankelSpec:
     n : int
         Dimension, at least 1.
     v : array_like
-        Generating vector of length ``m*(n-1) + 1``.
+        Generating vector of length ``m*(n-1) + 1`` with finite entries.
     """
 
     m: int
@@ -83,145 +63,83 @@ class HankelSpec:
                 f"generating vector must have length m*(n-1)+1 = {self.ell}, "
                 f"got {v.size}"
             )
+        if not np.isfinite(v).all():
+            raise ValueError("generating vector has a NaN or infinite entry")
         v.flags.writeable = False
         object.__setattr__(self, "v", v)
 
     @property
     def ell(self) -> int:
-        """Length of the generating vector (the anti-circulant dimension)."""
+        """Length of the generating vector."""
         return self.m * (self.n - 1) + 1
-
-
-class _BluesteinPlan:
-    """Exact length-``ell`` DFT as a chirp-modulated power-of-two convolution."""
-
-    def __init__(self, ell: int):
-        self.ell = ell
-        self.pad = 1 << (2 * ell - 1).bit_length()
-        # k^2 mod 2*ell stays exact in int64 for any ell this library meets,
-        # so the chirp phase never loses precision to a huge argument.
-        k2 = (np.arange(ell, dtype=np.int64) ** 2) % (2 * ell)
-        self.chirp = np.exp((-1j * np.pi / ell) * k2)
-        kernel = np.zeros(self.pad, dtype=complex)
-        kernel[:ell] = np.conj(self.chirp)
-        kernel[self.pad - ell + 1:] = np.conj(self.chirp[1:][::-1])
-        self.kernel_dft = _fft.fft(kernel)
-        self.chirp.flags.writeable = False
-        self.kernel_dft.flags.writeable = False
-
-    def dft(self, x: np.ndarray) -> np.ndarray:
-        # Fresh buffers per call: the plan itself stays read-only and is
-        # therefore safe to share between concurrent solver runs.
-        a = np.zeros(self.pad, dtype=complex)
-        np.multiply(x, self.chirp, out=a[: self.ell])
-        conv = _fft.ifft(_fft.fft(a, overwrite_x=True) * self.kernel_dft,
-                         overwrite_x=True)
-        out = conv[: self.ell]
-        out *= self.chirp
-        return out
-
-
-def _dft(x: np.ndarray, plan: _BluesteinPlan | None) -> np.ndarray:
-    if plan is None:
-        return _fft.fft(x)
-    return plan.dft(x)
-
-
-def _idft(x: np.ndarray, ell: int, plan: _BluesteinPlan | None) -> np.ndarray:
-    if plan is None:
-        return _fft.ifft(x)
-    return np.conj(plan.dft(np.conj(x))) / ell
 
 
 @dataclass(frozen=True)
 class SpectralCache:
     """Reusable spectral data for one Hankel tensor.
 
-    ``d`` is the inverse DFT of the generating vector (the diagonal of the
-    anti-circulant tensor in Fourier space).  The cache also carries the
-    transform plan for its length.  All fields are immutable after
-    construction, so one cache may serve any number of concurrent product
-    calls.
+    ``vhat`` is ``rfft(v, size)``, the half spectrum of the zero-padded
+    generating vector.  ``xm_weights`` is ``conj(vhat)`` times the Hermitian
+    half-spectrum weights (1 at zero frequency and, for even ``size``, at
+    the Nyquist frequency, 2 elsewhere) divided by ``size``, so that
+    ``H x^m`` is the real part of one dot product with ``rfft(x, size)**m``.
+    All fields are immutable after construction, so one cache may serve any
+    number of concurrent product calls.
     """
 
-    d: np.ndarray
-    ell: int
-    plan: _BluesteinPlan | None = None
+    size: int
+    vhat: np.ndarray
+    xm_weights: np.ndarray
 
     def __post_init__(self):
-        self.d.flags.writeable = False
+        self.vhat.flags.writeable = False
+        self.xm_weights.flags.writeable = False
 
 
 def make_cache(spec: HankelSpec) -> SpectralCache:
-    """Build the spectral cache (one inverse DFT of the generating vector)."""
-    plan = _BluesteinPlan(spec.ell) if spec.ell >= _BLUESTEIN_MIN else None
-    d = np.asarray(_idft(spec.v.astype(complex), spec.ell, plan))
-    return SpectralCache(d=d, ell=spec.ell, plan=plan)
+    """Build the spectral cache (one real FFT of the generating vector)."""
+    size = _fft.next_fast_len(spec.ell, real=True)
+    vhat = _fft.rfft(spec.v, size)
+    weights = np.full(vhat.size, 2.0)
+    weights[0] = 1.0
+    if size % 2 == 0:
+        weights[-1] = 1.0
+    return SpectralCache(size=size, vhat=vhat,
+                         xm_weights=np.conj(vhat) * (weights / size))
 
 
-def _embed(spec: HankelSpec, x: np.ndarray) -> np.ndarray:
+def _spectrum_power(cache: SpectralCache, spec: HankelSpec, x: np.ndarray,
+                    k: int) -> np.ndarray:
+    """``rfft(x, size)**k``: the spectrum of the k-fold self-convolution."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != spec.n:
         raise ValueError(f"x must have length n = {spec.n}, got {x.size}")
-    y = np.zeros(spec.ell)
-    y[: spec.n] = x
-    return y
-
-
-def _xm_with_residue(cache: SpectralCache, spec: HankelSpec,
-                     x: np.ndarray) -> tuple[float, float]:
-    y = _embed(spec, x)
-    z = _dft(y, cache.plan)
+    z = _fft.rfft(x, cache.size)
+    # Repeated in-place products: several times faster than ``z**k`` on
+    # complex arrays, and no less accurate for the small k used here.
     w = z.copy()
-    for _ in range(spec.m - 1):
+    for _ in range(k - 1):
         w *= z
-    total = cache.d @ w
-    re = float(total.real)
-    residue = abs(float(total.imag)) / max(1.0, abs(re))
-    return re, residue
-
-
-def _xm1_with_residue(cache: SpectralCache, spec: HankelSpec,
-                      x: np.ndarray) -> tuple[np.ndarray, float]:
-    y = _embed(spec, x)
-    z = _dft(y, cache.plan)
-    w = z.copy()
-    for _ in range(spec.m - 2):
-        w *= z
-    full = _dft(cache.d * w, cache.plan)
-    re = full.real
-    residue = float(np.linalg.norm(full.imag)) / max(1.0, float(np.linalg.norm(re)))
-    return re[: spec.n].copy(), residue
+    return w
 
 
 def hankel_xm(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> float:
     """Scalar contraction ``H x^m`` computed in Fourier space.
 
     Equals the dense contraction of the materialised tensor with ``m``
-    copies of ``x``.  Raises :class:`NumericalConsistencyError` if the
-    imaginary residue of the (mathematically real) result exceeds
-    ``1e-8 * max(1, |result|)``.
+    copies of ``x``.
     """
-    value, residue = _xm_with_residue(cache, spec, x)
-    if residue > _RESIDUE_LIMIT:
-        raise NumericalConsistencyError(
-            f"imaginary residue {residue:.3e} exceeds {_RESIDUE_LIMIT:.0e}; "
-            "the spectral embedding is inconsistent with the tensor"
-        )
-    return value
+    return float((cache.xm_weights @ _spectrum_power(cache, spec, x, spec.m)).real)
 
 
 def hankel_xm1(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> np.ndarray:
     """Vector contraction ``H x^{m-1}`` computed in Fourier space.
 
-    Returns the leading ``n`` entries of the anti-circulant product; satisfies
-    ``x @ hankel_xm1(...) == hankel_xm(...)``.  Raises
-    :class:`NumericalConsistencyError` on an excessive imaginary residue.
+    Returns the first ``n`` lags of the correlation of ``v`` with the
+    ``(m-1)``-fold self-convolution of ``x``; satisfies
+    ``x @ hankel_xm1(...) == hankel_xm(...)`` up to roundoff.
     """
-    vec, residue = _xm1_with_residue(cache, spec, x)
-    if residue > _RESIDUE_LIMIT:
-        raise NumericalConsistencyError(
-            f"imaginary residue {residue:.3e} exceeds {_RESIDUE_LIMIT:.0e}; "
-            "the spectral embedding is inconsistent with the tensor"
-        )
-    return vec
+    w = _spectrum_power(cache, spec, x, spec.m - 1)
+    np.conjugate(w, out=w)
+    w *= cache.vhat
+    return _fft.irfft(w, cache.size, overwrite_x=True)[: spec.n].copy()

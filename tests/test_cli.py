@@ -133,6 +133,18 @@ def test_solve_wrong_vector_length_names_expectation(capsys, tmp_path):
     assert "m*(n-1)+1 = 9" in err
 
 
+def test_solve_rejects_non_finite_vector(capsys, tmp_path):
+    vec = tmp_path / "v.txt"
+    vec.write_text("\n".join(["1.0"] * 8 + ["nan"]) + "\n")
+    out = tmp_path / "r.json"
+    code, _, err = run(capsys, "solve", "--input", str(vec), "--order", "4",
+                       "--dim", "3", "--btensor", "z", "--extreme", "min",
+                       "--out", str(out))
+    assert code == 1
+    assert "NaN or infinite" in err
+    assert list(tmp_path.iterdir()) == [vec]
+
+
 def test_solve_rejects_odd_order(capsys):
     code, _, err = run(capsys, "solve", "--family", "sin", "--order", "3",
                        "--dim", "4", "--btensor", "z", "--extreme", "min")
@@ -251,6 +263,14 @@ def test_float_serialisation_round_trips_exactly():
     samples += [0.0, -0.0, 1.0, -8.846334727389259, 2.0 ** -1074]
     for x in samples:
         assert float(_format_float(x)) == x
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_non_finite_floats(bad):
+    from hankeleig.cli import _json_text
+
+    with pytest.raises(ValueError, match="non-finite"):
+        _json_text({"x": bad})
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -257,9 +257,9 @@ class TestMultistart:
         assert [r.eigenvalue for r in serial.results] == \
                [r.eigenvalue for r in threaded.results]
 
-    def test_threads_share_a_chirp_z_cache_safely(self):
-        # large enough to cross the Bluestein threshold; iteration budget
-        # capped because only bitwise agreement matters here
+    def test_threads_share_a_large_cache_safely(self):
+        # a cache with thousands of frequencies shared by two threads;
+        # iteration budget capped because only bitwise agreement matters here
         spec = generate(FamilySpec(Family.RANDOM, 2, 1200, seed=1))
         opts = SolverOptions(starts=4, seed=2, max_iter=40)
         serial = multistart(spec, Z, opts, workers=1)
