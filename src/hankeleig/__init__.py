@@ -51,6 +51,7 @@ from .solver import (
     MultistartOutcome,
     OccurrenceBin,
     SolverOptions,
+    SolveStats,
     Termination,
     UnsupportedOrderError,
     bb_initial_step,
@@ -90,6 +91,7 @@ __all__ = [
     "Termination",
     "SolverOptions",
     "IterationRecord",
+    "SolveStats",
     "EigenResult",
     "OccurrenceBin",
     "MultistartOutcome",

@@ -17,6 +17,7 @@ count (default: the logical core count).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -32,7 +33,8 @@ from .dense_oracle import OracleCapError, dense_xm, dense_xm1, materialize
 from .fft_products import HankelSpec, hankel_xm, hankel_xm1, make_cache
 from .generators import Family, FamilySpec, generate
 from .objective import BTensorKind
-from .solver import Extreme, SolverOptions, Termination, multistart, solve
+from .solver import (Extreme, SolverOptions, SolveStats, Termination,
+                     multistart, solve)
 
 __all__ = ["main"]
 
@@ -273,6 +275,11 @@ def _cmd_solve(args) -> int:
         },
         "workers": workers,
         "timings": {"build_s": t1 - t0, "solve_s": t2 - t1},
+        # totals over the starts that returned a result
+        "counts": {
+            f.name: sum(getattr(r.stats, f.name) for r in outcome.results)
+            for f in dataclasses.fields(SolveStats)
+        },
     }
 
     best = outcome.best
@@ -319,6 +326,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        # zero trials would report a vacuous pass
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     m, n = args.order, args.dim
     rng = np.random.default_rng(args.seed)
     ell = m * (n - 1) + 1
@@ -352,6 +362,8 @@ def _cmd_bench(args) -> int:
                          f"{args.dims!r}") from exc
     if not dims:
         raise UsageError("--dims must name at least one dimension")
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     family = Family(args.family)
     lines = ["family,m,n,product_time_s,solve_time_s,iters"]
     for n in dims:

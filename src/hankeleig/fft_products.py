@@ -108,19 +108,38 @@ def make_cache(spec: HankelSpec) -> SpectralCache:
                          xm_weights=np.conj(vhat) * (weights / size))
 
 
-def _spectrum_power(cache: SpectralCache, spec: HankelSpec, x: np.ndarray,
-                    k: int) -> np.ndarray:
-    """``rfft(x, size)**k``: the spectrum of the k-fold self-convolution."""
+def _xm_and_power(cache: SpectralCache, spec: HankelSpec,
+                  x: np.ndarray) -> tuple[float, np.ndarray]:
+    """One forward transform: ``H x^m`` and ``p = rfft(x, size)**(m-1)``.
+
+    ``p`` is the spectrum of the ``(m-1)``-fold self-convolution of ``x``;
+    :func:`_xm1_from_power` turns it into ``H x^{m-1}`` with one inverse
+    transform, so a caller that may need both products transforms ``x``
+    once.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != spec.n:
         raise ValueError(f"x must have length n = {spec.n}, got {x.size}")
     z = _fft.rfft(x, cache.size)
     # Repeated in-place products: several times faster than ``z**k`` on
     # complex arrays, and no less accurate for the small k used here.
-    w = z.copy()
-    for _ in range(k - 1):
-        w *= z
-    return w
+    p = z.copy()
+    for _ in range(spec.m - 2):
+        p *= z
+    # ``p * z``, not ``z * p``: complex multiplication is not bitwise
+    # commutative, and ``p * z`` is the loop's next step, so ``H x^m`` is
+    # the same to the last bit as from an m-fold loop.
+    np.multiply(p, z, out=z)
+    return float((cache.xm_weights @ z).real), p
+
+
+def _xm1_from_power(cache: SpectralCache, spec: HankelSpec,
+                    p: np.ndarray) -> np.ndarray:
+    """``H x^{m-1}`` from ``p`` of :func:`_xm_and_power`, which it consumes
+    (one inverse transform, computed in ``p``'s buffer)."""
+    np.conjugate(p, out=p)
+    p *= cache.vhat
+    return _fft.irfft(p, cache.size, overwrite_x=True)[: spec.n].copy()
 
 
 def hankel_xm(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> float:
@@ -129,7 +148,7 @@ def hankel_xm(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> float:
     Equals the dense contraction of the materialised tensor with ``m``
     copies of ``x``.
     """
-    return float((cache.xm_weights @ _spectrum_power(cache, spec, x, spec.m)).real)
+    return _xm_and_power(cache, spec, x)[0]
 
 
 def hankel_xm1(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> np.ndarray:
@@ -139,7 +158,4 @@ def hankel_xm1(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> np.ndar
     ``(m-1)``-fold self-convolution of ``x``; satisfies
     ``x @ hankel_xm1(...) == hankel_xm(...)`` up to roundoff.
     """
-    w = _spectrum_power(cache, spec, x, spec.m - 1)
-    np.conjugate(w, out=w)
-    w *= cache.vhat
-    return _fft.irfft(w, cache.size, overwrite_x=True)[: spec.n].copy()
+    return _xm1_from_power(cache, spec, _xm_and_power(cache, spec, x)[1])

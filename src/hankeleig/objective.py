@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fft_products import HankelSpec, SpectralCache, hankel_xm, hankel_xm1
+from .fft_products import (HankelSpec, SpectralCache, _xm1_from_power,
+                           _xm_and_power, hankel_xm1)
 
 __all__ = [
     "BTensorKind",
@@ -131,12 +132,19 @@ def evaluate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
 
     The gradient ``g = (m / Bx^m) * (Hx^{m-1} - f * Bx^{m-1})`` lies in the
     tangent plane of the sphere at ``x`` (``x @ g == 0`` up to roundoff),
-    because ``f`` is homogeneous of degree zero.  One call to each FFT
-    product.
+    because ``f`` is homogeneous of degree zero.  One forward and one
+    inverse transform: both Hankel products come from one spectrum of
+    ``x``.
     """
     x = _require_unit(x)
-    hxm1 = hankel_xm1(cache, spec, x)
-    hxm = hankel_xm(cache, spec, x)
+    hxm, p = _xm_and_power(cache, spec, x)
+    return _assemble(spec, kind, x, hxm, _xm1_from_power(cache, spec, p))
+
+
+def _assemble(spec: HankelSpec, kind: ReferenceTensor, x: np.ndarray,
+              hxm: float, hxm1: np.ndarray) -> ObjectiveEval:
+    """The :class:`ObjectiveEval` at a unit ``x`` from its two Hankel
+    products, however they were computed."""
     bxm = b_xm(kind, spec.m, x)
     if bxm <= 0.0:
         raise InvalidReferenceTensorError(

@@ -12,21 +12,24 @@ power-iteration baseline sit on top for cross-validation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .fft_products import HankelSpec, SpectralCache, hankel_xm, make_cache
-from .objective import (BTensorKind, ObjectiveEval, ReferenceTensor, b_xm,
-                        evaluate, residual)
+from .fft_products import (HankelSpec, SpectralCache, _xm1_from_power,
+                           _xm_and_power, make_cache)
+from .objective import (BTensorKind, ObjectiveEval, ReferenceTensor,
+                        _assemble, b_xm, evaluate)
 
 __all__ = [
     "Extreme",
     "Termination",
     "SolverOptions",
     "IterationRecord",
+    "SolveStats",
     "EigenResult",
     "OccurrenceBin",
     "MultistartOutcome",
@@ -127,6 +130,27 @@ class IterationRecord:
     backtracks: int
 
 
+# Slotted: one record is kept per start.
+@dataclass(frozen=True, slots=True)
+class SolveStats:
+    """Work done by one solver run.
+
+    ``forward_transforms`` and ``inverse_transforms`` count the real FFTs
+    of points (the iterates and the trial points), not the cache build.
+    ``trials`` counts the candidate points tried and ``backtracks`` the
+    rejected ones.  The curvilinear search transforms each trial once
+    and inverts it only when it is accepted, so a run of ``k`` iterations
+    uses ``1 + trials`` forward and ``1 + k`` inverse transforms.  The
+    power iteration evaluates every trial in full, with one transform of
+    each kind.
+    """
+
+    forward_transforms: int = 0
+    inverse_transforms: int = 0
+    trials: int = 0
+    backtracks: int = 0
+
+
 @dataclass
 class EigenResult:
     """Outcome of one solver run."""
@@ -138,6 +162,7 @@ class EigenResult:
     termination: Termination
     trace: list[IterationRecord] = field(default_factory=list)
     path: list[np.ndarray] | None = None
+    stats: SolveStats = field(default_factory=SolveStats)
 
 
 @dataclass(frozen=True)
@@ -216,38 +241,46 @@ def bb_initial_step(dx: np.ndarray, dp: np.ndarray, alpha_max: float,
     return min(max(ratio, _BB_FLOOR), alpha_max)
 
 
-def _trial_value(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
-                 x: np.ndarray) -> float:
-    return hankel_xm(cache, spec, x) / b_xm(kind, spec.m, x)
-
-
 def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
                        kind: ReferenceTensor, x_k: np.ndarray,
                        eval_k: ObjectiveEval, alpha_bar: float,
-                       opts: SolverOptions
+                       opts: SolverOptions, tally: Counter | None = None
                        ) -> tuple[float, np.ndarray, ObjectiveEval, int]:
     """Backtrack along the Cayley curve until sufficient decrease holds.
 
     Tries ``alpha = beta^j * alpha_bar`` for ``j = 0, 1, ...`` and accepts
     the first trial with ``f(x+) <= f(x_k) - eta * alpha * ||g||^2`` (MIN;
     the mirrored inequality for MAX).  Returns ``(alpha, x+, eval+, j)``.
+    Each trial costs one forward transform; the accepted one adds one
+    inverse transform for ``eval+``.  ``tally``, if given, receives those
+    counts under the field names of :class:`SolveStats`.
 
     Raises :class:`LineSearchStallError` after ``max_backtracks`` rejected
     trials; that signals the decrease has fallen below rounding resolution.
     """
     if not 0.0 < alpha_bar <= opts.alpha_max:
         raise ValueError(f"alpha_bar must lie in (0, alpha_max], got {alpha_bar}")
+    if tally is None:
+        tally = Counter()
     sgn = _sign(opts.extreme)
     f_k = eval_k.f
     gnorm2 = float(eval_k.g @ eval_k.g)
     for j in range(opts.max_backtracks + 1):
         alpha = alpha_bar * opts.beta ** j
         x_trial = cayley_step(x_k, eval_k.g, alpha, opts.extreme)
-        f_trial = _trial_value(spec, cache, kind, x_trial)
+        hxm, p = _xm_and_power(cache, spec, x_trial)
+        tally["forward_transforms"] += 1
+        tally["trials"] += 1
+        f_trial = hxm / b_xm(kind, spec.m, x_trial)
         # Strict inequality keeps the trace strictly monotone even when the
         # required decrease rounds to nothing.
         if sgn * (f_trial - f_k) >= opts.eta * alpha * gnorm2 and f_trial != f_k:
-            return alpha, x_trial, evaluate(spec, cache, kind, x_trial), j
+            hxm1 = _xm1_from_power(cache, spec, p)
+            tally["inverse_transforms"] += 1
+            return alpha, x_trial, _assemble(spec, kind, x_trial, hxm, hxm1), j
+        tally["backtracks"] += 1
+        # Free the rejected spectrum before the next trial allocates its own.
+        del p
     raise LineSearchStallError(
         f"no sufficient decrease within {opts.max_backtracks} backtracks"
     )
@@ -261,19 +294,28 @@ def _draw_start(rng: np.random.Generator, n: int) -> np.ndarray:
             return x / nrm
 
 
+def _stored_residual(ev: ObjectiveEval) -> float:
+    """``||H x^{m-1} - f B x^{m-1}||`` from the products ``ev`` holds."""
+    return float(np.linalg.norm(ev.hxm1 - ev.f * ev.bxm1))
+
+
 def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
-          x_1: np.ndarray | None = None) -> EigenResult:
+          x_1: np.ndarray | None = None, *,
+          cache: SpectralCache | None = None) -> EigenResult:
     """Run the curvilinear search from one starting point.
 
     ``x_1`` defaults to a normalised Gaussian draw from ``opts.seed``.  The
     trace holds one row per visited iterate; the eigenvalue column is
-    strictly monotone in the direction of ``opts.extreme``.
+    strictly monotone in the direction of ``opts.extreme``.  ``cache``
+    defaults to ``make_cache(spec)``; pass one to share it between runs on
+    the same tensor.
     """
     if spec.m % 2 != 0:
         raise UnsupportedOrderError(
             f"the spherical quotient needs an even order, got m = {spec.m}"
         )
-    cache = make_cache(spec)
+    if cache is None:
+        cache = make_cache(spec)
     if x_1 is None:
         x = _draw_start(np.random.default_rng(opts.seed), spec.n)
     else:
@@ -286,6 +328,7 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
         x = x / nrm
 
     ev = evaluate(spec, cache, kind, x)
+    tally = Counter(forward_transforms=1, inverse_transforms=1)
     alpha_bar = opts.alpha_1
     tol = opts.tol_rel * math.sqrt(spec.n)
     trace: list[IterationRecord] = []
@@ -302,7 +345,7 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
             break
         try:
             alpha_k, x_new, ev_new, backtracks = curvilinear_search(
-                spec, cache, kind, x, ev, alpha_bar, opts)
+                spec, cache, kind, x, ev, alpha_bar, opts, tally)
         except LineSearchStallError:
             termination = Termination.LINESEARCH_STALL
             break
@@ -325,11 +368,12 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
     return EigenResult(
         eigenvalue=ev.f,
         x=x,
-        residual=residual(spec, cache, kind, x, ev.f),
+        residual=_stored_residual(ev),
         iterations=k - 1,
         termination=termination,
         trace=trace,
         path=path,
+        stats=SolveStats(**tally),
     )
 
 
@@ -358,8 +402,12 @@ def multistart(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
     ``workers > 1`` the starts run on a thread pool; results are merged in
     start order, so the outcome is identical to a serial run.
     """
+    # An odd order fails in every start; it needs no cache.
+    cache = make_cache(spec) if spec.m % 2 == 0 else None
+
     def one(i: int) -> EigenResult:
-        return solve(spec, kind, replace(opts, seed=opts.seed + i, starts=1))
+        return solve(spec, kind, replace(opts, seed=opts.seed + i, starts=1),
+                     cache=cache)
 
     indexed: list[tuple[int, EigenResult | None, str | None]] = []
     if workers > 1 and opts.starts > 1:
@@ -393,6 +441,7 @@ def _power_iteration(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
                      opts: SolverOptions, x: np.ndarray) -> EigenResult:
     sgn = _sign(opts.extreme)
     ev = evaluate(spec, cache, kind, x)
+    tally = Counter(forward_transforms=1, inverse_transforms=1)
     # The shift must dominate |lambda| so the fixed-point multiplier stays
     # positive; it doubles whenever a step breaks monotonicity.
     shift = abs(ev.f) + 1.0
@@ -418,9 +467,13 @@ def _power_iteration(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
             if nt > 0.0:
                 x_new = t / nt
                 ev_new = evaluate(spec, cache, kind, x_new)
+                tally["forward_transforms"] += 1
+                tally["inverse_transforms"] += 1
+                tally["trials"] += 1
                 if sgn * (ev_new.f - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):
                     break
             repairs += 1
+            tally["backtracks"] += 1
             if repairs > opts.max_backtracks:
                 stalled = True
                 break
@@ -444,10 +497,11 @@ def _power_iteration(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
     return EigenResult(
         eigenvalue=ev.f,
         x=x,
-        residual=residual(spec, cache, kind, x, ev.f),
+        residual=_stored_residual(ev),
         iterations=k - 1,
         termination=termination,
         trace=trace,
+        stats=SolveStats(**tally),
     )
 
 

@@ -75,6 +75,14 @@ def test_solve_sine_benchmark(capsys, tmp_path):
     assert manifest["options"]["starts"] == 20
     assert manifest["options"]["seed"] == 7
     assert set(manifest["timings"]) == {"build_s", "solve_s"}
+    # totals over the 20 starts: one transform pair at each start, then a
+    # forward transform per trial and an inverse one per accepted trial
+    counts = manifest["counts"]
+    assert set(counts) == {"forward_transforms", "inverse_transforms",
+                           "trials", "backtracks"}
+    assert counts["forward_transforms"] == 20 + counts["trials"]
+    assert counts["inverse_transforms"] == (
+        20 + counts["trials"] - counts["backtracks"])
 
     lines = trace.read_text().splitlines()
     assert lines[0] == "k,lambda,grad_norm,alpha,backtracks"
@@ -229,6 +237,23 @@ def test_bench_product_time_grows_subquadratically(capsys):
     rows = [line.split(",") for line in stdout.splitlines()[1:]]
     t_small, t_big = (float(row[3]) for row in rows)
     assert t_big <= 30.0 * max(t_small, 1e-9)
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_bench_rejects_nonpositive_reps(capsys, reps):
+    code, stdout, err = run(capsys, "bench", "--order", "4", "--dims", "10",
+                            "--reps", reps)
+    assert code == 1
+    assert "--reps" in err
+    assert stdout == ""
+
+
+def test_verify_rejects_zero_trials(capsys):
+    code, stdout, err = run(capsys, "verify", "--order", "4", "--dim", "6",
+                            "--trials", "0")
+    assert code == 1
+    assert "--trials" in err
+    assert stdout == ""
 
 
 def test_bench_rejects_malformed_dims(capsys):

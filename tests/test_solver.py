@@ -7,7 +7,7 @@ from conftest import random_unit
 import hankeleig.solver as solver_mod
 from hankeleig.fft_products import HankelSpec, make_cache
 from hankeleig.generators import Family, FamilySpec, generate
-from hankeleig.objective import BTensorKind, evaluate
+from hankeleig.objective import BTensorKind, evaluate, residual
 from hankeleig.solver import (
     EigenResult,
     Extreme,
@@ -274,17 +274,31 @@ class TestMultistart:
         real_solve = solver_mod.solve
         calls = []
 
-        def flaky(spec_, kind_, opts_, x_1=None):
+        def flaky(spec_, kind_, opts_, x_1=None, **kwargs):
             calls.append(opts_.seed)
             if opts_.seed == 21:
                 raise RuntimeError("synthetic failure")
-            return real_solve(spec_, kind_, opts_, x_1)
+            return real_solve(spec_, kind_, opts_, x_1, **kwargs)
 
         monkeypatch.setattr(solver_mod, "solve", flaky)
         out = multistart(spec, Z, SolverOptions(starts=4, seed=20))
         assert len(out.results) == 3
         assert out.failures == [(1, "RuntimeError: synthetic failure")]
         assert out.best is not None
+
+    def test_cache_is_built_once_per_call(self, monkeypatch):
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        real_make_cache = solver_mod.make_cache
+        builds = []
+
+        def counted(spec_):
+            builds.append(spec_)
+            return real_make_cache(spec_)
+
+        monkeypatch.setattr(solver_mod, "make_cache", counted)
+        out = multistart(spec, Z, SolverOptions(starts=5, seed=1), workers=2)
+        assert len(out.results) == 5
+        assert len(builds) == 1
 
     def test_occurrence_bins_split_the_two_minima(self):
         spec = generate(FamilySpec(Family.SIN, 4, 5))
@@ -294,6 +308,72 @@ class TestMultistart:
         assert out.bins[1].eigenvalue == pytest.approx(-3.920428, abs=1e-5)
         assert sum(b.count for b in out.bins) == 40
         assert sum(b.share for b in out.bins) == pytest.approx(1.0)
+
+
+class TestSolveStats:
+    """Per start, one forward transform per trial point and one inverse
+    transform per accepted point, plus one of each at the start."""
+
+    @staticmethod
+    def _assert_transform_bound(res):
+        st = res.stats
+        assert st.forward_transforms == 1 + st.trials
+        assert st.inverse_transforms == 1 + res.iterations
+        assert st.trials == res.iterations + st.backtracks
+
+    @pytest.mark.parametrize("family,m,n,kind,extreme", [
+        (Family.SIN, 4, 5, Z, Extreme.MIN),
+        (Family.SIN, 4, 5, Z, Extreme.MAX),
+        (Family.VANDERMONDE, 4, 10, Z, Extreme.MIN),
+        (Family.VANDERMONDE, 4, 10, Z, Extreme.MAX),
+        (Family.HILBERT, 4, 8, H, Extreme.MAX),
+    ])
+    def test_transforms_per_start(self, family, m, n, kind, extreme):
+        spec = generate(FamilySpec(family, m, n))
+        out = multistart(spec, kind, SolverOptions(starts=4, seed=3,
+                                                   extreme=extreme))
+        assert len(out.results) == 4
+        for res in out.results:
+            self._assert_transform_bound(res)
+            assert res.stats.backtracks == sum(r.backtracks for r in res.trace)
+
+    def test_transforms_of_a_stalled_run(self):
+        # a tolerance no objective change can meet runs into the rounding
+        # floor, where the last search rejects all its trials
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        opts = SolverOptions(seed=3, tol_rel=1e-300, max_backtracks=20)
+        res = solve(spec, Z, opts)
+        assert res.termination is Termination.LINESEARCH_STALL
+        self._assert_transform_bound(res)
+        assert res.stats.backtracks == (sum(r.backtracks for r in res.trace)
+                                        + opts.max_backtracks + 1)
+
+
+class TestProductReuse:
+    """Values built from stored spectra and products equal fresh ones."""
+
+    @pytest.mark.parametrize("kind,extreme", [(Z, Extreme.MIN), (H, Extreme.MAX)])
+    def test_trace_and_residual_match_fresh_evaluations(self, kind, extreme):
+        spec = generate(FamilySpec(Family.HILBERT, 4, 12))
+        cache = make_cache(spec)
+        res = solve(spec, kind, SolverOptions(seed=4, extreme=extreme,
+                                              keep_path=True))
+        assert res.iterations > 3
+        for row, x in zip(res.trace, res.path):
+            assert row.lambda_k == evaluate(spec, cache, kind, x).f
+        assert res.residual == residual(spec, cache, kind, res.x, res.eigenvalue)
+
+    def test_accepted_eval_matches_fresh_evaluate(self):
+        spec = generate(FamilySpec(Family.RANDOM, 4, 40, seed=3))
+        cache = make_cache(spec)
+        x = random_unit(np.random.default_rng(8), 40)
+        ev = evaluate(spec, cache, Z, x)
+        _, x_new, ev_new, _ = curvilinear_search(
+            spec, cache, Z, x, ev, 1.0, SolverOptions())
+        fresh = evaluate(spec, cache, Z, x_new)
+        assert ev_new.f == fresh.f and ev_new.hxm == fresh.hxm
+        assert np.array_equal(ev_new.g, fresh.g)
+        assert np.array_equal(ev_new.hxm1, fresh.hxm1)
 
 
 class TestPowerMethodBaseline:
@@ -320,5 +400,7 @@ class TestPowerMethodBaseline:
         a = multistart(spec, Z, opts)
         p = power_method_baseline(spec, Z, opts)
         assert isinstance(p, EigenResult)
+        assert p.stats.forward_transforms == p.stats.inverse_transforms \
+            == 1 + p.stats.trials
         assert p.eigenvalue == pytest.approx(a.best.eigenvalue, abs=1e-3)
         assert p.residual <= 1e-5
