@@ -9,9 +9,9 @@ solver over a list of dimensions.
 Exit codes: 0 for a converged solve (or a clean verify), 2 when a solve
 produced no converged result, 1 for usage errors.  All floating point
 output is serialised with 17 significant digits so files round-trip
-exactly; a NaN or infinite value is refused (exit 1).  Result files are written atomically (temp file, then rename).
-The environment variable ``HANKEL_THREADS`` caps the multistart worker
-count (default: the logical core count).
+exactly; a NaN or infinite value is refused (exit 1).  Result files are
+written atomically (temp file, then rename).  The starts of a solve run one
+after another, so its result is deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -195,13 +195,13 @@ def _spec_from_file(args) -> tuple[HankelSpec, dict]:
     except json.JSONDecodeError:
         payload = None
     if isinstance(payload, dict):
-        try:
-            m, n, v = int(payload["m"]), int(payload["n"]), payload["v"]
-        except (KeyError, TypeError, ValueError) as exc:
+        m, n, v = payload.get("m"), payload.get("n"), payload.get("v")
+        # JSON integers only: int() would truncate 4.5, and a bool is an int
+        if type(m) is not int or type(n) is not int or v is None:
             raise UsageError(
                 f"{args.input}: a json tensor file needs integer 'm', 'n' "
                 "and a numeric array 'v'"
-            ) from exc
+            )
         if args.order is not None and args.order != m:
             raise UsageError(f"--order {args.order} contradicts m={m} in {args.input}")
         if args.dim is not None and args.dim != n:
@@ -226,19 +226,6 @@ def _load_spec(args) -> tuple[HankelSpec, dict]:
     return _spec_from_family(args) if has_family else _spec_from_file(args)
 
 
-def _worker_cap() -> int:
-    raw = os.environ.get("HANKEL_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"HANKEL_THREADS must be a positive integer, got {raw!r}") from exc
-    if cap < 1:
-        raise UsageError(f"HANKEL_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -255,9 +242,8 @@ def _cmd_solve(args) -> int:
         tol_rel=args.tol, max_iter=args.max_iter,
         extreme=Extreme(args.extreme), starts=args.starts, seed=args.seed,
     )
-    workers = min(opts.starts, _worker_cap())
     t1 = time.perf_counter()
-    outcome = multistart(spec, kind, opts, workers=workers)
+    outcome = multistart(spec, kind, opts)
     t2 = time.perf_counter()
 
     manifest = {
@@ -273,7 +259,6 @@ def _cmd_solve(args) -> int:
             "max_iter": opts.max_iter, "max_backtracks": opts.max_backtracks,
             "starts": opts.starts, "seed": opts.seed,
         },
-        "workers": workers,
         "timings": {"build_s": t1 - t0, "solve_s": t2 - t1},
         # totals over the starts that returned a result
         "counts": {

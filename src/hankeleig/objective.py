@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fft_products import (HankelSpec, SpectralCache, _xm1_from_power,
-                           _xm_and_power, hankel_xm1)
+from .fft_products import (HankelSpec, SpectralCache, _power,
+                           _xm1_from_power, _xm_and_power, hankel_xm1)
 
 __all__ = [
     "BTensorKind",
@@ -82,7 +82,7 @@ def b_xm(kind: ReferenceTensor, m: int, x: np.ndarray) -> float:
         return float(kind.xm(m, x))
     if kind is BTensorKind.Z_IDENTITY:
         return float(np.linalg.norm(x)) ** m
-    return float(np.sum(x ** m))
+    return float(np.sum(_power(x, m)))
 
 
 def b_xm1(kind: ReferenceTensor, m: int, x: np.ndarray) -> np.ndarray:
@@ -93,7 +93,7 @@ def b_xm1(kind: ReferenceTensor, m: int, x: np.ndarray) -> np.ndarray:
     if kind is BTensorKind.Z_IDENTITY:
         # ||x||^0 == 1 covers m == 2 even at the x == 0 boundary.
         return float(np.linalg.norm(x)) ** (m - 2) * x
-    return x ** (m - 1)
+    return _power(x, m - 1)
 
 
 def b_xm2(kind: BTensorKind, m: int, x: np.ndarray) -> np.ndarray:

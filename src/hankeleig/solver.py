@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -100,6 +99,10 @@ class SolverOptions:
             raise ValueError(f"eta must lie in (0, 1/2], got {self.eta}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        for name in ("alpha_max", "tol_rel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0.0 < self.alpha_1 <= self.alpha_max:
             raise ValueError(
                 f"alpha_1 must lie in (0, alpha_max], got {self.alpha_1} "
@@ -111,8 +114,6 @@ class SolverOptions:
             raise ValueError("max_backtracks must be nonnegative")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        if self.tol_rel <= 0.0:
-            raise ValueError("tol_rel must be positive")
 
 
 @dataclass(frozen=True)
@@ -394,40 +395,25 @@ def _bin_eigenvalues(values: list[float],
             for g in groups]
 
 
-def multistart(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
-               workers: int = 1) -> MultistartOutcome:
+def multistart(spec: HankelSpec, kind: ReferenceTensor,
+               opts: SolverOptions) -> MultistartOutcome:
     """Run ``opts.starts`` independent solves from seeds ``seed + i``.
 
-    Per-start failures are collected instead of aborting the sweep.  With
-    ``workers > 1`` the starts run on a thread pool; results are merged in
-    start order, so the outcome is identical to a serial run.
+    The starts run one after another, in start order, on one shared
+    spectral cache, so the outcome is deterministic for a given seed.
+    Per-start failures are collected instead of aborting the sweep.
     """
     # An odd order fails in every start; it needs no cache.
     cache = make_cache(spec) if spec.m % 2 == 0 else None
-
-    def one(i: int) -> EigenResult:
-        return solve(spec, kind, replace(opts, seed=opts.seed + i, starts=1),
-                     cache=cache)
-
-    indexed: list[tuple[int, EigenResult | None, str | None]] = []
-    if workers > 1 and opts.starts > 1:
-        def guarded(i: int):
-            try:
-                return i, one(i), None
-            except Exception as exc:  # noqa: BLE001 - reported per start
-                return i, None, f"{type(exc).__name__}: {exc}"
-
-        with ThreadPoolExecutor(max_workers=min(workers, opts.starts)) as pool:
-            indexed = list(pool.map(guarded, range(opts.starts)))
-    else:
-        for i in range(opts.starts):
-            try:
-                indexed.append((i, one(i), None))
-            except Exception as exc:  # noqa: BLE001 - reported per start
-                indexed.append((i, None, f"{type(exc).__name__}: {exc}"))
-
-    results = [r for _, r, _ in indexed if r is not None]
-    failures = [(i, msg) for i, _, msg in indexed if msg is not None]
+    results: list[EigenResult] = []
+    failures: list[tuple[int, str]] = []
+    for i in range(opts.starts):
+        try:
+            results.append(solve(spec, kind,
+                                 replace(opts, seed=opts.seed + i, starts=1),
+                                 cache=cache))
+        except Exception as exc:  # noqa: BLE001 - reported per start
+            failures.append((i, f"{type(exc).__name__}: {exc}"))
     best: EigenResult | None = None
     if results:
         pick = min if opts.extreme is Extreme.MIN else max

@@ -153,6 +153,35 @@ def test_solve_rejects_non_finite_vector(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [vec]
 
 
+@pytest.mark.parametrize("bad", ["4.5", "true"])
+def test_solve_json_input_needs_integer_order(capsys, tmp_path, bad):
+    # 17 entries fit m = 4, n = 5, so a truncated 4.5 or a boolean read as
+    # 1 must not slip through as a valid shape
+    vec = tmp_path / "v.json"
+    vec.write_text('{"m": %s, "n": 5, "v": [%s]}' % (bad, ", ".join(["1.0"] * 17)))
+    out = tmp_path / "r.json"
+    code, _, err = run(capsys, "solve", "--input", str(vec), "--btensor", "z",
+                       "--extreme", "min", "--out", str(out))
+    assert code == 1
+    assert "integer 'm'" in err
+    assert list(tmp_path.iterdir()) == [vec]
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--tol", "nan", "tol_rel"),
+    ("--tol", "inf", "tol_rel"),
+    ("--alpha-max", "inf", "alpha_max"),
+])
+def test_solve_rejects_non_finite_options(capsys, tmp_path, flag, value, name):
+    out = tmp_path / "r.json"
+    code, _, err = run(capsys, "solve", "--family", "sin", "--order", "4",
+                       "--dim", "5", "--btensor", "z", "--extreme", "min",
+                       flag, value, "--out", str(out))
+    assert code == 1
+    assert name in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_rejects_odd_order(capsys):
     code, _, err = run(capsys, "solve", "--family", "sin", "--order", "3",
                        "--dim", "4", "--btensor", "z", "--extreme", "min")
@@ -262,24 +291,6 @@ def test_bench_rejects_malformed_dims(capsys):
     assert "--dims" in err
 
 
-def test_hankel_threads_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("HANKEL_THREADS", "zero")
-    code, _, err = run(capsys, "solve", "--family", "sin", "--order", "4",
-                       "--dim", "5", "--btensor", "z", "--extreme", "min")
-    assert code == 1
-    assert "HANKEL_THREADS" in err
-
-
-def test_hankel_threads_env_caps_workers(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("HANKEL_THREADS", "2")
-    out = tmp_path / "r.json"
-    code, _, _ = run(capsys, "solve", "--family", "sin", "--order", "4",
-                     "--dim", "5", "--btensor", "z", "--extreme", "min",
-                     "--starts", "4", "--seed", "7", "--out", str(out))
-    assert code == 0
-    assert json.loads(out.read_text())["manifest"]["workers"] == 2
-
-
 def test_float_serialisation_round_trips_exactly():
     from hankeleig.cli import _format_float
 
@@ -307,7 +318,7 @@ def test_all_starts_failed_maps_to_exit_2(capsys, monkeypatch):
     import hankeleig.cli as cli_mod
     from hankeleig.solver import MultistartOutcome
 
-    def doomed(spec, kind, opts, workers=1):
+    def doomed(spec, kind, opts):
         return MultistartOutcome(
             results=[], failures=[(i, "ValueError: synthetic") for i in
                                   range(opts.starts)],

@@ -42,6 +42,21 @@ def test_b_products_euler_identities(kind, m):
         assert float(x @ B2 @ x) == pytest.approx(xm, rel=1e-12, abs=1e-14)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8])
+def test_h_products_agree_with_numpy_power(m):
+    # repeated products in place of ``**``; half the entries are negative
+    rng = np.random.default_rng(40 + m)
+    for _ in range(20):
+        x = rng.standard_normal(9)
+        expected = x ** (m - 1)
+        assert np.all(np.abs(b_xm1(H, m, x) - expected)
+                      <= 1e-15 * np.abs(expected))
+        expected = x ** m
+        # relative to the sum of magnitudes: odd orders may cancel
+        assert abs(b_xm(H, m, x) - float(np.sum(expected))) \
+            <= 1e-15 * float(np.sum(np.abs(expected)))
+
+
 def test_b_xm2_order_two_is_identity():
     x = np.array([2.0, -1.0, 5.0])
     assert np.array_equal(b_xm2(Z, 2, x), np.eye(3))

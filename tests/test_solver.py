@@ -1,4 +1,6 @@
 import math
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,6 +143,8 @@ class TestSolverOptions:
         dict(eta=0.0), dict(eta=0.6), dict(beta=1.0), dict(beta=0.0),
         dict(alpha_1=0.0), dict(alpha_1=2e4), dict(max_iter=0),
         dict(starts=0), dict(tol_rel=0.0), dict(max_backtracks=-1),
+        dict(tol_rel=math.nan), dict(tol_rel=math.inf),
+        dict(alpha_max=math.nan), dict(alpha_max=math.inf),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -249,25 +253,45 @@ class TestMultistart:
         assert [r.eigenvalue for r in a.results] == [r.eigenvalue for r in b.results]
         assert a.bins == b.bins
 
-    def test_threaded_run_matches_serial(self):
+    def test_results_follow_start_order(self):
         spec = generate(FamilySpec(Family.SIN, 4, 5))
         opts = SolverOptions(starts=8, seed=5)
-        serial = multistart(spec, Z, opts, workers=1)
-        threaded = multistart(spec, Z, opts, workers=4)
-        assert [r.eigenvalue for r in serial.results] == \
-               [r.eigenvalue for r in threaded.results]
+        out = multistart(spec, Z, opts)
+        assert len(out.results) == 8
+        for i, res in enumerate(out.results):
+            direct = solve(spec, Z, replace(opts, seed=opts.seed + i))
+            assert res.eigenvalue == direct.eigenvalue
+            assert np.array_equal(res.x, direct.x)
+            assert res.trace == direct.trace
+            assert res.stats == direct.stats
 
-    def test_threads_share_a_large_cache_safely(self):
-        # a cache with thousands of frequencies shared by two threads;
+    def test_shared_cache_serves_concurrent_solves(self):
+        # a cache with thousands of frequencies serving two threads at once;
         # iteration budget capped because only bitwise agreement matters here
         spec = generate(FamilySpec(Family.RANDOM, 2, 1200, seed=1))
-        opts = SolverOptions(starts=4, seed=2, max_iter=40)
-        serial = multistart(spec, Z, opts, workers=1)
-        threaded = multistart(spec, Z, opts, workers=2)
-        assert [r.eigenvalue for r in serial.results] == \
-               [r.eigenvalue for r in threaded.results]
-        for a, b in zip(serial.results, threaded.results):
-            assert np.array_equal(a.x, b.x)
+        shared = make_cache(spec)
+        seeds = range(2, 6)
+        serial = {s: solve(spec, Z, SolverOptions(seed=s, max_iter=40),
+                           cache=shared) for s in seeds}
+        threaded = {}
+        barrier = threading.Barrier(2)
+
+        def worker(mine):
+            barrier.wait()
+            for s in mine:
+                threaded[s] = solve(spec, Z, SolverOptions(seed=s, max_iter=40),
+                                    cache=shared)
+
+        threads = [threading.Thread(target=worker, args=(seeds[i::2],))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(threaded) == list(seeds)
+        for s in seeds:
+            assert threaded[s].eigenvalue == serial[s].eigenvalue
+            assert np.array_equal(threaded[s].x, serial[s].x)
 
     def test_failures_do_not_abort_other_starts(self, monkeypatch):
         spec = generate(FamilySpec(Family.SIN, 4, 5))
@@ -296,7 +320,7 @@ class TestMultistart:
             return real_make_cache(spec_)
 
         monkeypatch.setattr(solver_mod, "make_cache", counted)
-        out = multistart(spec, Z, SolverOptions(starts=5, seed=1), workers=2)
+        out = multistart(spec, Z, SolverOptions(starts=5, seed=1))
         assert len(out.results) == 5
         assert len(builds) == 1
 
