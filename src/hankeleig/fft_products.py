@@ -18,6 +18,7 @@ carry the ``1/size`` factor (the numpy/scipy default pairing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,18 +79,26 @@ class HankelSpec:
 class SpectralCache:
     """Reusable spectral data for one Hankel tensor.
 
-    ``vhat`` is ``rfft(v, size)``, the half spectrum of the zero-padded
-    generating vector.  ``xm_weights`` is ``conj(vhat)`` times the Hermitian
-    half-spectrum weights (1 at zero frequency and, for even ``size``, at
-    the Nyquist frequency, 2 elsewhere) divided by ``size``, so that
-    ``H x^m`` is the real part of one dot product with ``rfft(x, size)**m``.
-    All fields are immutable after construction, so one cache may serve any
-    number of concurrent product calls.
+    ``exponent`` is ``e`` with ``2**e`` the power of two nearest ``max|v|``
+    (0 for a zero ``v``).  ``vhat`` is ``rfft(v * 2**-e, size)``, the half
+    spectrum of the zero-padded normalised generating vector, so a vector
+    near overflow or underflow is transformed at unit scale.
+    ``xm_weights`` is ``conj(vhat)`` times the Hermitian half-spectrum
+    weights (1 at zero frequency and, for even ``size``, at the Nyquist
+    frequency, 2 elsewhere) divided by ``size``, so that ``H x^m`` is
+    ``2**e`` times the real part of one dot product with
+    ``rfft(x, size)**m``.  Every product is scaled back by ``2**e``, which
+    is exact, so the products are those of ``v`` to the last bit.  The same
+    spectra with ``exponent`` 0 are the cache of the normalised tensor,
+    which is what the solver works on.  All fields are immutable after
+    construction, so one cache may serve any number of concurrent product
+    calls.
     """
 
     size: int
     vhat: np.ndarray
     xm_weights: np.ndarray
+    exponent: int
 
     def __post_init__(self):
         self.vhat.flags.writeable = False
@@ -97,15 +106,25 @@ class SpectralCache:
 
 
 def make_cache(spec: HankelSpec) -> SpectralCache:
-    """Build the spectral cache (one real FFT of the generating vector)."""
+    """Build the spectral cache (one real FFT of the normalised generating
+    vector)."""
     size = _fft.next_fast_len(spec.ell, real=True)
-    vhat = _fft.rfft(spec.v, size)
+    # max|v| without a full-size temporary
+    mant, exponent = math.frexp(max(float(spec.v.max()), -float(spec.v.min())))
+    if 0.0 < mant < math.sqrt(0.5):
+        exponent -= 1  # 2**(exponent-1) is the nearer power by ratio
+    # the zero padding rfft(v, size) would allocate, filled with v * 2**-e
+    padded = np.zeros(size)
+    np.ldexp(spec.v, -exponent, out=padded[: spec.ell])
+    vhat = _fft.rfft(padded, overwrite_x=True)
+    del padded
     weights = np.full(vhat.size, 2.0)
     weights[0] = 1.0
     if size % 2 == 0:
         weights[-1] = 1.0
     return SpectralCache(size=size, vhat=vhat,
-                         xm_weights=np.conj(vhat) * (weights / size))
+                         xm_weights=np.conj(vhat) * (weights / size),
+                         exponent=exponent)
 
 
 def _power(a: np.ndarray, k: int) -> np.ndarray:
@@ -136,7 +155,10 @@ def _xm_and_power(cache: SpectralCache, spec: HankelSpec,
     # commutative, and ``p * z`` is the loop's next step, so ``H x^m`` is
     # the same to the last bit as from an m-fold loop.
     np.multiply(p, z, out=z)
-    return float((cache.xm_weights @ z).real), p
+    hxm = float((cache.xm_weights @ z).real)
+    if cache.exponent:
+        hxm = float(np.ldexp(hxm, cache.exponent))
+    return hxm, p
 
 
 def _xm1_from_power(cache: SpectralCache, spec: HankelSpec,
@@ -145,7 +167,10 @@ def _xm1_from_power(cache: SpectralCache, spec: HankelSpec,
     (one inverse transform, computed in ``p``'s buffer)."""
     np.conjugate(p, out=p)
     p *= cache.vhat
-    return _fft.irfft(p, cache.size, overwrite_x=True)[: spec.n].copy()
+    hxm1 = _fft.irfft(p, cache.size, overwrite_x=True)[: spec.n].copy()
+    if cache.exponent:
+        np.ldexp(hxm1, cache.exponent, out=hxm1)
+    return hxm1
 
 
 def hankel_xm(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> float:

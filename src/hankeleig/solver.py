@@ -7,6 +7,12 @@ for the largest eigenvalue), the next trial step comes from the geometric
 mean of the two Barzilai-Borwein step sizes, and the run stops when the
 objective stalls in relative terms.  A multistart driver and a shifted
 power-iteration baseline sit on top for cross-validation.
+
+Both iterations run on the normalised tensor ``v * 2**-e`` of the spectral
+cache (see :class:`~hankeleig.fft_products.SpectralCache`) and scale the
+eigenvalue, the residual and the trace back by ``2**e``.  Their step
+control is relative to the eigenvalue estimate, so a run on ``2**k * v``
+is the run on ``v`` scaled by ``2**k``, to the last bit.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "MultistartOutcome",
     "UnsupportedOrderError",
     "LineSearchStallError",
+    "ResultOverflowError",
     "cayley_step",
     "step_length",
     "curvilinear_search",
@@ -47,9 +54,11 @@ __all__ = [
 # the iterate is already an eigenvector to working precision.
 _ZERO_GRAD_FLOOR = 1e-13
 
-# Lower clamp for the Barzilai-Borwein trial step.
+# Lower clamp for the Barzilai-Borwein trial step, relative to max(1, |f|).
 _BB_FLOOR = 1e-10
 
+# Multistart eigenvalues within this share of the largest |eigenvalue|
+# share an occurrence bin.
 _EIGENVALUE_BIN_TOL = 1e-6
 
 
@@ -59,6 +68,11 @@ class UnsupportedOrderError(ValueError):
 
 class LineSearchStallError(RuntimeError):
     """Backtracking exhausted without sufficient decrease (rounding floor)."""
+
+
+class ResultOverflowError(ValueError):
+    """The eigenpair found on the normalised tensor overflows float64 once
+    scaled back to the units of the generating vector."""
 
 
 class Extreme(Enum):
@@ -78,8 +92,10 @@ class SolverOptions:
     """Parameters of the curvilinear search.
 
     ``tol_rel`` is the coefficient of the stopping rule
-    ``|lam_{k+1} - lam_k| / max(1, |lam_k|) < tol_rel * sqrt(n)``.
-    ``keep_path`` retains every iterate (for invariant audits).
+    ``|lam_{k+1} - lam_k| / max(1, |lam_k|) < tol_rel * sqrt(n)``, applied
+    to the normalised tensor.  ``alpha_1`` is relative: the first search
+    starts at ``alpha_1 / max(1, |f(x_1)|)``.  ``keep_path`` retains every
+    iterate (for invariant audits).
     """
 
     eta: float = 1e-3
@@ -228,18 +244,20 @@ def step_length(x: np.ndarray, p: np.ndarray, alpha: float) -> float:
 
 
 def bb_initial_step(dx: np.ndarray, dp: np.ndarray, alpha_max: float,
-                    fallback: float | None = None) -> float:
+                    fallback: float | None = None, scale: float = 1.0) -> float:
     """Geometric-mean Barzilai-Borwein trial step ``||dx|| / ||dp||``.
 
-    Clamped to ``[1e-10, alpha_max]``.  A zero gradient difference carries
-    the previous trial step forward via ``fallback`` (``alpha_max`` if no
-    fallback is supplied).
+    Clamped to ``[1e-10 / scale, alpha_max]``.  The ratio scales as
+    ``1/lambda``, so :func:`solve` passes ``scale = max(1, |f|)`` at the new
+    iterate and the floor is relative to the eigenvalue.  A zero gradient
+    difference carries the previous trial step forward via ``fallback``
+    (``alpha_max`` if no fallback is supplied).
     """
     ndp = float(np.linalg.norm(np.asarray(dp, dtype=float)))
     if ndp == 0.0:
         return fallback if fallback is not None else alpha_max
     ratio = float(np.linalg.norm(np.asarray(dx, dtype=float))) / ndp
-    return min(max(ratio, _BB_FLOOR), alpha_max)
+    return min(max(ratio, _BB_FLOOR / scale), alpha_max)
 
 
 def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
@@ -295,9 +313,46 @@ def _draw_start(rng: np.random.Generator, n: int) -> np.ndarray:
             return x / nrm
 
 
-def _stored_residual(ev: ObjectiveEval) -> float:
-    """``||H x^{m-1} - f B x^{m-1}||`` from the products ``ev`` holds."""
-    return float(np.linalg.norm(ev.hxm1 - ev.f * ev.bxm1))
+def _normalised(cache: SpectralCache) -> tuple[SpectralCache, int]:
+    """The cache of ``v * 2**-e`` (the same spectra with exponent 0) and
+    ``e``.  A cache with ``e == 0`` is returned as it is, so the common
+    case builds no copy per start."""
+    if not cache.exponent:
+        return cache, 0
+    return replace(cache, exponent=0), cache.exponent
+
+
+def _result(ev: ObjectiveEval, x: np.ndarray, k: int, termination: Termination,
+            trace: list[IterationRecord], tally: Counter, exponent: int,
+            path: list[np.ndarray] | None = None) -> EigenResult:
+    """The :class:`EigenResult` at the last iterate of a run on the
+    normalised tensor, scaled back by ``2**exponent``.
+
+    The residual ``||H x^{m-1} - f B x^{m-1}||`` comes from the products
+    ``ev`` holds.  Raises :class:`ResultOverflowError` when a scaled value
+    does not fit a float64.
+    """
+    trace.append(IterationRecord(k=k, lambda_k=ev.f,
+                                 grad_norm=float(np.linalg.norm(ev.g)),
+                                 alpha_k=0.0, backtracks=0))
+    lam = ev.f
+    res = float(np.linalg.norm(ev.hxm1 - ev.f * ev.bxm1))
+    if exponent:
+        try:
+            lam = math.ldexp(lam, exponent)
+            res = math.ldexp(res, exponent)
+            trace = [replace(r, lambda_k=math.ldexp(r.lambda_k, exponent),
+                             grad_norm=math.ldexp(r.grad_norm, exponent),
+                             alpha_k=math.ldexp(r.alpha_k, -exponent))
+                     for r in trace]
+        except OverflowError:
+            raise ResultOverflowError(
+                f"the result overflows float64 when scaled back by "
+                f"2**{exponent}, the power of two nearest max|v|"
+            ) from None
+    return EigenResult(eigenvalue=lam, x=x, residual=res, iterations=k - 1,
+                       termination=termination, trace=trace, path=path,
+                       stats=SolveStats(**tally))
 
 
 def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
@@ -309,7 +364,9 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
     trace holds one row per visited iterate; the eigenvalue column is
     strictly monotone in the direction of ``opts.extreme``.  ``cache``
     defaults to ``make_cache(spec)``; pass one to share it between runs on
-    the same tensor.
+    the same tensor.  The run works on the normalised tensor of the cache;
+    raises :class:`ResultOverflowError` if its result does not fit a
+    float64 in the units of ``v``.
     """
     if spec.m % 2 != 0:
         raise UnsupportedOrderError(
@@ -317,6 +374,7 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
         )
     if cache is None:
         cache = make_cache(spec)
+    cache, exponent = _normalised(cache)
     if x_1 is None:
         x = _draw_start(np.random.default_rng(opts.seed), spec.n)
     else:
@@ -330,7 +388,7 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
 
     ev = evaluate(spec, cache, kind, x)
     tally = Counter(forward_transforms=1, inverse_transforms=1)
-    alpha_bar = opts.alpha_1
+    alpha_bar = opts.alpha_1 / max(1.0, abs(ev.f))
     tol = opts.tol_rel * math.sqrt(spec.n)
     trace: list[IterationRecord] = []
     path: list[np.ndarray] | None = [x.copy()] if opts.keep_path else None
@@ -356,36 +414,28 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
             path.append(x_new.copy())
         rel_change = abs(ev_new.f - ev.f) / max(1.0, abs(ev.f))
         alpha_bar = bb_initial_step(x_new - x, ev_new.g - ev.g,
-                                    opts.alpha_max, fallback=alpha_bar)
+                                    opts.alpha_max, fallback=alpha_bar,
+                                    scale=max(1.0, abs(ev_new.f)))
         x, ev = x_new, ev_new
         k += 1
         if rel_change < tol:
             termination = Termination.CONVERGED
             break
-
-    trace.append(IterationRecord(k=k, lambda_k=ev.f,
-                                 grad_norm=float(np.linalg.norm(ev.g)),
-                                 alpha_k=0.0, backtracks=0))
-    return EigenResult(
-        eigenvalue=ev.f,
-        x=x,
-        residual=_stored_residual(ev),
-        iterations=k - 1,
-        termination=termination,
-        trace=trace,
-        path=path,
-        stats=SolveStats(**tally),
-    )
+    return _result(ev, x, k, termination, trace, tally, exponent, path)
 
 
 def _bin_eigenvalues(values: list[float],
                      tol: float = _EIGENVALUE_BIN_TOL) -> list[OccurrenceBin]:
+    """Group sorted eigenvalues whose gaps are at most ``tol`` times the
+    largest ``|eigenvalue|``; the bins of ``2**k`` times the values are the
+    bins of the values times ``2**k``."""
     if not values:
         return []
     ordered = sorted(values)
+    gap = tol * max(abs(ordered[0]), abs(ordered[-1]))
     groups: list[list[float]] = [[ordered[0]]]
     for lam in ordered[1:]:
-        if lam - groups[-1][-1] <= tol:
+        if lam - groups[-1][-1] <= gap:
             groups[-1].append(lam)
         else:
             groups.append([lam])
@@ -401,7 +451,9 @@ def multistart(spec: HankelSpec, kind: ReferenceTensor,
 
     The starts run one after another, in start order, on one shared
     spectral cache, so the outcome is deterministic for a given seed.
-    Per-start failures are collected instead of aborting the sweep.
+    Per-start failures are collected instead of aborting the sweep, except
+    :class:`ResultOverflowError`: a tensor whose eigenvalues do not fit a
+    float64 is an input error.
     """
     # An odd order fails in every start; it needs no cache.
     cache = make_cache(spec) if spec.m % 2 == 0 else None
@@ -412,6 +464,8 @@ def multistart(spec: HankelSpec, kind: ReferenceTensor,
             results.append(solve(spec, kind,
                                  replace(opts, seed=opts.seed + i, starts=1),
                                  cache=cache))
+        except ResultOverflowError:
+            raise
         except Exception as exc:  # noqa: BLE001 - reported per start
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     best: EigenResult | None = None
@@ -425,6 +479,7 @@ def multistart(spec: HankelSpec, kind: ReferenceTensor,
 
 def _power_iteration(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
                      opts: SolverOptions, x: np.ndarray) -> EigenResult:
+    cache, exponent = _normalised(cache)
     sgn = _sign(opts.extreme)
     ev = evaluate(spec, cache, kind, x)
     tally = Counter(forward_transforms=1, inverse_transforms=1)
@@ -476,19 +531,7 @@ def _power_iteration(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
         if rel_change < tol:
             termination = Termination.CONVERGED
             break
-
-    trace.append(IterationRecord(k=k, lambda_k=ev.f,
-                                 grad_norm=float(np.linalg.norm(ev.g)),
-                                 alpha_k=0.0, backtracks=0))
-    return EigenResult(
-        eigenvalue=ev.f,
-        x=x,
-        residual=_stored_residual(ev),
-        iterations=k - 1,
-        termination=termination,
-        trace=trace,
-        stats=SolveStats(**tally),
-    )
+    return _result(ev, x, k, termination, trace, tally, exponent)
 
 
 def power_method_baseline(spec: HankelSpec, kind: BTensorKind,

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,43 @@ def test_solve_rejects_non_finite_vector(capsys, tmp_path):
     assert code == 1
     assert "NaN or infinite" in err
     assert list(tmp_path.iterdir()) == [vec]
+
+
+def test_solve_rejects_eigenvalue_overflow(capsys, tmp_path):
+    # lambda_max = 1e308 * 5**2: the solve itself runs at unit scale, and
+    # only scaling the result back overflows
+    vec = tmp_path / "v.txt"
+    vec.write_text("1e308\n" * 17)
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "solve", "--input", str(vec),
+                           "--order", "4", "--dim", "5", "--btensor", "z",
+                           "--extreme", "max", "--out", str(out))
+    assert code == 1
+    assert "overflows" in err
+    assert list(tmp_path.iterdir()) == [vec]
+
+
+@pytest.mark.parametrize("c", [1e300, 1e-300])
+def test_solve_scaled_sine_matches_unit_scale(capsys, tmp_path, c):
+    vec = tmp_path / "v.txt"
+    vec.write_text("".join(f"{math.sin(4.0 + k) * c!r}\n" for k in range(17)))
+    common = ("--btensor", "z", "--extreme", "min", "--starts", "10",
+              "--seed", "7")
+    ref = tmp_path / "ref.json"
+    assert run(capsys, "solve", "--family", "sin", "--order", "4", "--dim",
+               "5", *common, "--out", str(ref))[0] == 0
+    out = tmp_path / "scaled.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run(capsys, "solve", "--input", str(vec), "--order", "4",
+                         "--dim", "5", *common, "--out", str(out))
+    assert code == 0
+    expected = json.loads(ref.read_text())["lambda"] * c
+    payload = json.loads(out.read_text())
+    assert payload["termination"] == "converged"
+    assert payload["lambda"] == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("bad", ["4.5", "true"])

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -27,11 +28,17 @@ def test_spec_rejects_non_finite_generating_vector(bad):
         HankelSpec(m=4, n=4, v=v)
 
 
+def unscaled(cache, spectrum):
+    """A cached spectrum in the units of ``v``: the cache holds the spectra
+    of ``v * 2**-cache.exponent``."""
+    return math.ldexp(1.0, cache.exponent) * spectrum
+
+
 def test_cache_trivial_length_one():
     spec = HankelSpec(m=2, n=1, v=[5.0])
     cache = make_cache(spec)
     assert cache.size == 1
-    assert np.allclose(cache.vhat, [5.0])
+    assert np.allclose(unscaled(cache, cache.vhat), [5.0])
     assert hankel_xm(cache, spec, [2.0]) == pytest.approx(20.0, rel=1e-15)
     assert np.allclose(hankel_xm1(cache, spec, [2.0]), [10.0], rtol=1e-15)
 
@@ -45,10 +52,12 @@ def test_cache_matches_explicit_three_point_dft():
         sum(spec.v[j] * np.exp(-2j * np.pi * j * k / 3) for j in range(3))
         for k in range(2)
     ])
-    assert np.allclose(cache.vhat, expected, atol=1e-14)
-    assert np.allclose(cache.vhat, [6.0, -1.5 + 0.5j * np.sqrt(3.0)])
+    vhat = unscaled(cache, cache.vhat)
+    assert np.allclose(vhat, expected, atol=1e-14)
+    assert np.allclose(vhat, [6.0, -1.5 + 0.5j * np.sqrt(3.0)])
     # Hermitian weights: 1 at zero frequency, 2 at the unpaired bin of odd size
-    assert np.allclose(cache.xm_weights, np.conj(expected) * [1 / 3, 2 / 3])
+    assert np.allclose(unscaled(cache, cache.xm_weights),
+                       np.conj(expected) * [1 / 3, 2 / 3])
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 4), (4, 5), (2, 1300), (4, 700)])
@@ -59,7 +68,7 @@ def test_cache_round_trips_generating_vector(m, n):
     assert cache.size >= spec.ell
     # numpy's FFT is the independent reference transform here; the padding
     # past ell must come back as zeros
-    back = np.fft.irfft(cache.vhat, cache.size)
+    back = np.fft.irfft(unscaled(cache, cache.vhat), cache.size)
     padded = np.concatenate([spec.v, np.zeros(cache.size - spec.ell)])
     assert np.max(np.abs(back - padded)) <= 1e-12 * max(1.0, np.max(np.abs(spec.v)))
 

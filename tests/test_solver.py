@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from hankeleig.solver import (
     EigenResult,
     Extreme,
     LineSearchStallError,
+    ResultOverflowError,
     SolverOptions,
     Termination,
     UnsupportedOrderError,
@@ -105,6 +107,13 @@ class TestBBStep:
     def test_clamps(self):
         assert bb_initial_step(np.array([1e9]), np.array([1.0]), 1e4) == 1e4
         assert bb_initial_step(np.array([1e-30]), np.array([1.0]), 1e4) == 1e-10
+
+    def test_floor_is_relative_to_scale(self):
+        # a step of 1e-13 suits an eigenvalue near 1e11 and is kept
+        assert bb_initial_step(np.array([1e-13]), np.array([1.0]), 1e4,
+                               scale=3.6e11) == 1e-13
+        assert bb_initial_step(np.array([1e-30]), np.array([1.0]), 1e4,
+                               scale=1e11) == 1e-10 / 1e11
 
 
 class TestCurvilinearSearch:
@@ -235,6 +244,48 @@ class TestSolve:
             spec, cache, Z, x1 / 3.0).f
 
 
+def _sine(c=1.0):
+    return HankelSpec(4, 5, c * generate(FamilySpec(Family.SIN, 4, 5)).v)
+
+
+class TestScaleCovariance:
+    """The solver runs on ``v * 2**-e``, so scaling ``v`` scales the result."""
+
+    @pytest.mark.parametrize("k", [-20, 40])
+    def test_power_of_two_scaling_is_bitwise(self, k):
+        opts = SolverOptions(seed=1)
+        base = solve(_sine(), Z, opts)
+        res = solve(_sine(math.ldexp(1.0, k)), Z, opts)
+        assert res.eigenvalue == math.ldexp(base.eigenvalue, k)
+        assert res.residual == math.ldexp(base.residual, k)
+        assert np.array_equal(res.x, base.x)
+        assert res.stats == base.stats
+        assert res.trace == [replace(r, lambda_k=math.ldexp(r.lambda_k, k),
+                                     grad_norm=math.ldexp(r.grad_norm, k),
+                                     alpha_k=math.ldexp(r.alpha_k, -k))
+                             for r in base.trace]
+
+    def test_result_overflow_is_a_value_error(self):
+        # lambda_max = 1e308 * 5**2 does not fit a float64
+        spec = HankelSpec(4, 5, np.full(17, 1e308))
+        opts = SolverOptions(extreme=Extreme.MAX, starts=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResultOverflowError, match="overflows"):
+                solve(spec, Z, opts)
+            with pytest.raises(ValueError, match="overflows"):
+                multistart(spec, Z, opts)
+
+    def test_hilbert_backtracks_fewer_than_two_per_iteration(self):
+        # lambda is about 3.6e11 here, so the Barzilai-Borwein steps are
+        # near 1e-13; an absolute step floor made each search halve down to
+        # them, about nine backtracks per iteration
+        spec = generate(FamilySpec(Family.HILBERT, 6, 1000))
+        res = solve(spec, H, SolverOptions(seed=1, extreme=Extreme.MAX))
+        assert res.termination is Termination.CONVERGED
+        assert res.stats.backtracks < 2 * res.iterations
+
+
 class TestMultistart:
     def test_single_start_matches_solve(self):
         spec = generate(FamilySpec(Family.SIN, 4, 5))
@@ -333,6 +384,23 @@ class TestMultistart:
         assert sum(b.count for b in out.bins) == 40
         assert sum(b.share for b in out.bins) == pytest.approx(1.0)
 
+    def test_hilbert_starts_share_one_bin(self):
+        # the starts agree to about 1e-12 relative at lambda near 3.6e11
+        spec = generate(FamilySpec(Family.HILBERT, 6, 1000))
+        out = multistart(spec, H, SolverOptions(starts=10, seed=1,
+                                                extreme=Extreme.MAX))
+        assert len(out.results) == 10
+        assert [b.count for b in out.bins] == [10]
+
+    @pytest.mark.parametrize("k", [-30, 50])
+    def test_bins_scale_with_powers_of_two(self, k):
+        opts = SolverOptions(starts=12, seed=7)
+        base = multistart(_sine(), Z, opts)
+        scaled = multistart(_sine(math.ldexp(1.0, k)), Z, opts)
+        assert len(base.bins) == 2
+        assert scaled.bins == [replace(b, eigenvalue=math.ldexp(b.eigenvalue, k))
+                               for b in base.bins]
+
 
 class TestSolveStats:
     """Per start, one forward transform per trial point and one inverse
@@ -428,3 +496,17 @@ class TestPowerMethodBaseline:
             == 1 + p.stats.trials
         assert p.eigenvalue == pytest.approx(a.best.eigenvalue, abs=1e-3)
         assert p.residual <= 1e-5
+
+    def test_scale_covariant(self):
+        opts = SolverOptions(starts=3, seed=1)
+        base = power_method_baseline(_sine(), Z, opts)
+        assert base.termination is Termination.CONVERGED
+        small = power_method_baseline(_sine(math.ldexp(1.0, -20)), Z, opts)
+        assert small.eigenvalue == math.ldexp(base.eigenvalue, -20)
+        assert np.array_equal(small.x, base.x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = power_method_baseline(_sine(1e300), Z, opts)
+        assert huge.termination is Termination.CONVERGED
+        assert huge.eigenvalue / 1e300 == pytest.approx(base.eigenvalue,
+                                                        rel=1e-10)
