@@ -314,6 +314,11 @@ def _cmd_verify(args) -> int:
     if args.trials < 1:
         # zero trials would report a vacuous pass
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    # checked before the draws, whose lengths they set
+    if args.order < 2:
+        raise UsageError(f"--order must be at least 2, got {args.order}")
+    if args.dim < 1:
+        raise UsageError(f"--dim must be at least 1, got {args.dim}")
     m, n = args.order, args.dim
     rng = np.random.default_rng(args.seed)
     ell = m * (n - 1) + 1

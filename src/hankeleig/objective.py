@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fft_products import (HankelSpec, SpectralCache, _power,
+from .fft_products import (HankelSpec, SpectralCache, _power, _workspace,
                            _xm1_from_power, _xm_and_power, hankel_xm1)
 
 __all__ = [
@@ -136,15 +136,23 @@ def evaluate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     inverse transform: both Hankel products come from one spectrum of
     ``x``.
     """
-    x = _require_unit(x)
-    hxm, p = _xm_and_power(cache, spec, x)
-    return _assemble(spec, kind, x, hxm, _xm1_from_power(cache, spec, p))
+    return _evaluate(spec, cache, kind, _require_unit(x), _workspace(cache))
+
+
+def _evaluate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
+              x: np.ndarray, ws: tuple[np.ndarray, np.ndarray]) -> ObjectiveEval:
+    """:func:`evaluate` at a unit ``x``, with its transforms in the
+    workspace ``ws`` of :func:`~hankeleig.fft_products._workspace`."""
+    hxm, p = _xm_and_power(cache, spec, x, ws)
+    return _assemble(spec, kind, x, hxm, _xm1_from_power(cache, spec, p, ws), ws)
 
 
 def _assemble(spec: HankelSpec, kind: ReferenceTensor, x: np.ndarray,
-              hxm: float, hxm1: np.ndarray) -> ObjectiveEval:
+              hxm: float, hxm1: np.ndarray,
+              ws: tuple[np.ndarray, np.ndarray]) -> ObjectiveEval:
     """The :class:`ObjectiveEval` at a unit ``x`` from its two Hankel
-    products, however they were computed."""
+    products, however they were computed.  The gradient is built in
+    place, with its one temporary in the workspace ``ws``."""
     bxm = b_xm(kind, spec.m, x)
     if bxm <= 0.0:
         raise InvalidReferenceTensorError(
@@ -153,11 +161,14 @@ def _assemble(spec: HankelSpec, kind: ReferenceTensor, x: np.ndarray,
         )
     bxm1 = b_xm1(kind, spec.m, x)
     f = hxm / bxm
-    g = (spec.m / bxm) * (hxm1 - f * bxm1)
+    # g = (m / bxm) * (hxm1 - f * bxm1), built in place
+    g = f * bxm1
+    np.subtract(hxm1, g, out=g)
+    g *= spec.m / bxm
     # The formula is tangent in exact arithmetic; subtracting the normal
     # component removes roundoff that would otherwise dwarf the gradient
     # once the iterate approaches an eigenvector.
-    g = g - (x @ g) * x
+    g -= np.multiply(x @ g, x, out=ws[0].view(float)[: x.size])
     return ObjectiveEval(f=f, g=g, hxm=hxm, bxm=bxm, hxm1=hxm1, bxm1=bxm1)
 
 

@@ -24,10 +24,10 @@ from enum import Enum
 
 import numpy as np
 
-from .fft_products import (HankelSpec, SpectralCache, _xm1_from_power,
-                           _xm_and_power, make_cache)
+from .fft_products import (HankelSpec, SpectralCache, _workspace,
+                           _xm1_from_power, _xm_and_power, make_cache)
 from .objective import (BTensorKind, ObjectiveEval, ReferenceTensor,
-                        _assemble, b_xm, evaluate)
+                        _assemble, _evaluate, b_xm)
 
 __all__ = [
     "Extreme",
@@ -263,7 +263,8 @@ def bb_initial_step(dx: np.ndarray, dp: np.ndarray, alpha_max: float,
 def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
                        kind: ReferenceTensor, x_k: np.ndarray,
                        eval_k: ObjectiveEval, alpha_bar: float,
-                       opts: SolverOptions, tally: Counter | None = None
+                       opts: SolverOptions, tally: Counter | None = None,
+                       workspace: tuple[np.ndarray, np.ndarray] | None = None
                        ) -> tuple[float, np.ndarray, ObjectiveEval, int]:
     """Backtrack along the Cayley curve until sufficient decrease holds.
 
@@ -272,7 +273,10 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
     the mirrored inequality for MAX).  Returns ``(alpha, x+, eval+, j)``.
     Each trial costs one forward transform; the accepted one adds one
     inverse transform for ``eval+``.  ``tally``, if given, receives those
-    counts under the field names of :class:`SolveStats`.
+    counts under the field names of :class:`SolveStats`.  The transforms
+    run in ``workspace``, from :func:`~hankeleig.fft_products._workspace`
+    (a fresh one if it is not given), which is free again on return;
+    :func:`solve` passes one workspace to every search of a run.
 
     Raises :class:`LineSearchStallError` after ``max_backtracks`` rejected
     trials; that signals the decrease has fallen below rounding resolution.
@@ -281,25 +285,24 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
         raise ValueError(f"alpha_bar must lie in (0, alpha_max], got {alpha_bar}")
     if tally is None:
         tally = Counter()
+    ws = _workspace(cache) if workspace is None else workspace
     sgn = _sign(opts.extreme)
     f_k = eval_k.f
     gnorm2 = float(eval_k.g @ eval_k.g)
     for j in range(opts.max_backtracks + 1):
         alpha = alpha_bar * opts.beta ** j
         x_trial = cayley_step(x_k, eval_k.g, alpha, opts.extreme)
-        hxm, p = _xm_and_power(cache, spec, x_trial)
+        hxm, p = _xm_and_power(cache, spec, x_trial, ws)
         tally["forward_transforms"] += 1
         tally["trials"] += 1
         f_trial = hxm / b_xm(kind, spec.m, x_trial)
         # Strict inequality keeps the trace strictly monotone even when the
         # required decrease rounds to nothing.
         if sgn * (f_trial - f_k) >= opts.eta * alpha * gnorm2 and f_trial != f_k:
-            hxm1 = _xm1_from_power(cache, spec, p)
+            hxm1 = _xm1_from_power(cache, spec, p, ws)
             tally["inverse_transforms"] += 1
-            return alpha, x_trial, _assemble(spec, kind, x_trial, hxm, hxm1), j
+            return alpha, x_trial, _assemble(spec, kind, x_trial, hxm, hxm1, ws), j
         tally["backtracks"] += 1
-        # Free the rejected spectrum before the next trial allocates its own.
-        del p
     raise LineSearchStallError(
         f"no sufficient decrease within {opts.max_backtracks} backtracks"
     )
@@ -386,7 +389,9 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
             raise ValueError("x_1 must be nonzero")
         x = x / nrm
 
-    ev = evaluate(spec, cache, kind, x)
+    # every transform of the run, and its scratch vectors, use this
+    ws = _workspace(cache)
+    ev = _evaluate(spec, cache, kind, x, ws)
     tally = Counter(forward_transforms=1, inverse_transforms=1)
     alpha_bar = opts.alpha_1 / max(1.0, abs(ev.f))
     tol = opts.tol_rel * math.sqrt(spec.n)
@@ -404,7 +409,7 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
             break
         try:
             alpha_k, x_new, ev_new, backtracks = curvilinear_search(
-                spec, cache, kind, x, ev, alpha_bar, opts, tally)
+                spec, cache, kind, x, ev, alpha_bar, opts, tally, ws)
         except LineSearchStallError:
             termination = Termination.LINESEARCH_STALL
             break
@@ -413,8 +418,10 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
         if path is not None:
             path.append(x_new.copy())
         rel_change = abs(ev_new.f - ev.f) / max(1.0, abs(ev.f))
-        alpha_bar = bb_initial_step(x_new - x, ev_new.g - ev.g,
-                                    opts.alpha_max, fallback=alpha_bar,
+        # the workspace is free until the next search
+        dx = np.subtract(x_new, x, out=ws[0].view(float)[: spec.n])
+        dg = np.subtract(ev_new.g, ev.g, out=ws[1].view(float)[: spec.n])
+        alpha_bar = bb_initial_step(dx, dg, opts.alpha_max, fallback=alpha_bar,
                                     scale=max(1.0, abs(ev_new.f)))
         x, ev = x_new, ev_new
         k += 1
@@ -481,7 +488,8 @@ def _power_iteration(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
                      opts: SolverOptions, x: np.ndarray) -> EigenResult:
     cache, exponent = _normalised(cache)
     sgn = _sign(opts.extreme)
-    ev = evaluate(spec, cache, kind, x)
+    ws = _workspace(cache)
+    ev = _evaluate(spec, cache, kind, x, ws)
     tally = Counter(forward_transforms=1, inverse_transforms=1)
     # The shift must dominate |lambda| so the fixed-point multiplier stays
     # positive; it doubles whenever a step breaks monotonicity.
@@ -507,7 +515,7 @@ def _power_iteration(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
             nt = float(np.linalg.norm(t))
             if nt > 0.0:
                 x_new = t / nt
-                ev_new = evaluate(spec, cache, kind, x_new)
+                ev_new = _evaluate(spec, cache, kind, x_new, ws)
                 tally["forward_transforms"] += 1
                 tally["inverse_transforms"] += 1
                 tally["trials"] += 1

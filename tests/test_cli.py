@@ -323,6 +323,19 @@ def test_verify_rejects_zero_trials(capsys):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("order,dim,flag", [("4", "0", "--dim"),
+                                            ("4", "-2", "--dim"),
+                                            ("1", "6", "--order")])
+def test_verify_rejects_out_of_range_order_and_dim(capsys, order, dim, flag):
+    # before the draws: --dim 0 used to reach numpy and fail with its
+    # "negative dimensions are not allowed"
+    code, stdout, err = run(capsys, "verify", "--order", order, "--dim", dim)
+    assert code == 1
+    assert flag in err
+    assert "negative dimensions" not in err
+    assert stdout == ""
+
+
 def test_bench_rejects_malformed_dims(capsys):
     code, _, err = run(capsys, "bench", "--order", "4", "--dims", "ten")
     assert code == 1

@@ -1,11 +1,14 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hankeleig.dense_oracle import dense_xm, dense_xm1, materialize
-from hankeleig.fft_products import HankelSpec, hankel_xm, hankel_xm1, make_cache
+from hankeleig.fft_products import (HankelSpec, _workspace, _xm1_from_power,
+                                    _xm_and_power, hankel_xm, hankel_xm1,
+                                    make_cache)
 
 
 def test_spec_validation():
@@ -203,3 +206,28 @@ def test_product_time_scales_like_n_log_n():
             samples[slot].append(time.perf_counter() - tic)
     small, big = (float(np.median(s)) for s in samples)
     assert big <= 3.0 * small, f"time at 2n = {big:.4f}s vs {small:.4f}s at n"
+
+
+def test_products_in_a_workspace_allocate_no_spectrum():
+    # The transforms run in the two workspace buffers, so the pair allocates
+    # only the length-n copy of H x^{m-1}: nothing as long as a half
+    # spectrum of floats, let alone a signal or a complex half spectrum.
+    m, n = 4, 20000
+    rng = np.random.default_rng(5)
+    spec = HankelSpec(m=m, n=n, v=rng.standard_normal(m * (n - 1) + 1))
+    cache = make_cache(spec)
+    x = rng.standard_normal(n)
+    ws = _workspace(cache)
+    want = hankel_xm1(cache, spec, x)
+    _xm1_from_power(cache, spec, _xm_and_power(cache, spec, x, ws)[1], ws)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hxm, p = _xm_and_power(cache, spec, x, ws)
+        hxm1 = _xm1_from_power(cache, spec, p, ws)
+        allocated = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert allocated < 8 * (cache.size // 2 + 1), allocated
+    assert np.array_equal(hxm1, want)
+    assert hxm == hankel_xm(cache, spec, x)

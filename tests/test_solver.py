@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,9 +9,11 @@ import pytest
 from conftest import random_unit
 
 import hankeleig.solver as solver_mod
-from hankeleig.fft_products import HankelSpec, make_cache
+from hankeleig.dense_oracle import dense_xm, dense_xm1, materialize
+from hankeleig.fft_products import HankelSpec, hankel_xm, hankel_xm1, make_cache
 from hankeleig.generators import Family, FamilySpec, generate
-from hankeleig.objective import BTensorKind, evaluate, residual
+from hankeleig.objective import (BTensorKind, ReferenceProducts, evaluate,
+                                 residual)
 from hankeleig.solver import (
     EigenResult,
     Extreme,
@@ -466,6 +469,89 @@ class TestProductReuse:
         assert ev_new.f == fresh.f and ev_new.hxm == fresh.hxm
         assert np.array_equal(ev_new.g, fresh.g)
         assert np.array_equal(ev_new.hxm1, fresh.hxm1)
+
+
+class TestWorkspace:
+    """Each run transforms in a workspace of its own."""
+
+    def test_tensors_of_one_size_interleave_bitwise(self):
+        # ell = 17 for both, so both transform at size 18; a buffer shared
+        # by size would carry one tensor's entries into the other's products
+        rng = np.random.default_rng(17)
+        specs = [HankelSpec(4, 5, rng.standard_normal(17)),
+                 HankelSpec(2, 9, rng.standard_normal(17))]
+        caches = [make_cache(spec) for spec in specs]
+        assert caches[0].size == caches[1].size == 18
+        points = [random_unit(rng, spec.n) for spec in specs]
+        opts = SolverOptions(seed=3)
+
+        def products(i):
+            spec, cache, x = specs[i], caches[i], points[i]
+            ev = evaluate(spec, cache, Z, x)
+            return [hankel_xm(cache, spec, x), hankel_xm1(cache, spec, x),
+                    ev.g, residual(spec, cache, Z, x, ev.f)]
+
+        solo_products = [products(i) for i in (0, 1)]
+        solo_runs = [solve(specs[i], Z, opts, cache=caches[i]) for i in (0, 1)]
+        mismatches = []
+
+        def z_identity_interleaving(other):
+            # b_xm and b_xm1 of the Z identity, computed as they compute
+            # them, plus every public product of the other tensor at each
+            # trial point of the run
+            def xm(m, x):
+                got = products(other)
+                if not all(np.array_equal(a, b)
+                           for a, b in zip(got, solo_products[other])):
+                    mismatches.append(other)
+                return float(np.linalg.norm(x)) ** m
+
+            def xm1(m, x):
+                return float(np.linalg.norm(x)) ** (m - 2) * x
+
+            return ReferenceProducts(xm, xm1)
+
+        for i in (0, 1):
+            run = solve(specs[i], z_identity_interleaving(1 - i), opts,
+                        cache=caches[i])
+            solo = solo_runs[i]
+            assert run.eigenvalue == solo.eigenvalue
+            assert np.array_equal(run.x, solo.x)
+            assert run.trace == solo.trace and run.stats == solo.stats
+        assert mismatches == []
+        for i in (0, 1):
+            dense = materialize(specs[i])
+            hxm, hxm1 = solo_products[i][:2]
+            ref = dense_xm(dense, points[i])
+            assert abs(hxm - ref) <= 1e-10 * (1.0 + abs(ref))
+            ref1 = dense_xm1(dense, points[i])
+            assert np.all(np.abs(hxm1 - ref1) <= 1e-10 * (1.0 + np.abs(ref1)))
+            run = solo_runs[i]
+            lam = dense_xm(dense, run.x)
+            assert abs(run.eigenvalue - lam) <= 1e-10 * (1.0 + abs(lam))
+            dense_res = float(np.linalg.norm(dense_xm1(dense, run.x) - lam * run.x))
+            assert abs(run.residual - dense_res) <= 1e-10 * (1.0 + abs(lam))
+
+    def test_solve_peak_memory_is_one_workspace(self):
+        # Measured at 2.56 MB: the two half-spectrum workspace buffers
+        # (1.28 MB) and eight vectors of length n (two iterates with their
+        # three products each).  The bound allows nine vectors, so two more
+        # spectrum-sized buffers per run, or two more vector temporaries per
+        # iteration, fail it.
+        spec = generate(FamilySpec(Family.RANDOM, 4, 20000, seed=1))
+        cache = make_cache(spec)
+        opts = SolverOptions(seed=1, max_iter=4)
+        solve(spec, Z, opts, cache=cache)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = solve(spec, Z, opts, cache=cache)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 4
+        workspace = 2 * 16 * (cache.size // 2 + 1)
+        assert peak <= workspace + 9 * 8 * spec.n, peak
 
 
 class TestPowerMethodBaseline:
