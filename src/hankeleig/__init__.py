@@ -50,6 +50,7 @@ from .solver import (
     LineSearchStallError,
     MultistartOutcome,
     OccurrenceBin,
+    ResultOverflowError,
     SolverOptions,
     SolveStats,
     Termination,
@@ -97,6 +98,7 @@ __all__ = [
     "MultistartOutcome",
     "UnsupportedOrderError",
     "LineSearchStallError",
+    "ResultOverflowError",
     "cayley_step",
     "step_length",
     "curvilinear_search",

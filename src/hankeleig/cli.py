@@ -126,7 +126,8 @@ def _trace_csv(trace) -> str:
             str(r.k),
             _format_float(r.lambda_k),
             _format_float(r.grad_norm),
-            _format_float(r.alpha_k),
+            # a step too large for float64 in the units of v is inf
+            "inf" if r.alpha_k == math.inf else _format_float(r.alpha_k),
             str(r.backtracks),
         ]))
     return "\n".join(lines) + "\n"

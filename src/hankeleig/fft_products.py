@@ -9,8 +9,10 @@ contractions are therefore correlations of ``v`` with self-convolutions of
 of ``v`` with the ``m``-fold one.  That self-convolution has length at most
 ``ell``, so a real FFT of any length ``size >= ell`` computes both without
 wrap-around, in O(m*n*log(m*n)) time from ``v`` alone and with no dense
-storage.  ``size`` is ``scipy.fft.next_fast_len(ell, real=True)``, which
-keeps the cost a smooth function of ``ell`` whatever its prime factors.
+storage.  ``size`` is the smallest 5-smooth length ``2**a * 3**b * 5**c``
+at least ``ell``, which keeps the cost a smooth function of ``ell`` whatever
+its prime factors: pocketfft, the C++ FFT behind ``numpy.fft``, runs its
+fastest kernels on those factors.
 
 Every transform is ``numpy.fft``'s, which writes into a given ``out=``
 array (NumPy 2.0 and later).  A solver run allocates one workspace, two
@@ -32,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 __all__ = [
     "HankelSpec",
@@ -115,10 +116,28 @@ class SpectralCache:
         self.xm_weights.flags.writeable = False
 
 
+def _fast_len(ell: int) -> int:
+    """The smallest ``2**a * 3**b * 5**c >= ell``: pocketfft's
+    ``good_size_real``, which ``scipy.fft.next_fast_len(ell, real=True)``
+    returns too.  Computed here because importing ``scipy.fft`` for it
+    added more to a cold start than the rest of the import, numpy
+    included."""
+    best = 1 << (ell - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # the least power of two times f35 that reaches ell
+            best = min(best, f35 << (-(-ell // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def make_cache(spec: HankelSpec) -> SpectralCache:
     """Build the spectral cache (one real FFT of the normalised generating
     vector)."""
-    size = next_fast_len(spec.ell, real=True)
+    size = _fast_len(spec.ell)
     # max|v| without a full-size temporary
     mant, exponent = math.frexp(max(float(spec.v.max()), -float(spec.v.min())))
     if 0.0 < mant < math.sqrt(0.5):

@@ -138,6 +138,9 @@ class IterationRecord:
 
     ``alpha_k`` is the accepted step size leaving iterate ``k`` (0.0 on the
     terminal row) and ``backtracks`` counts rejected trials in that search.
+    Every value is in the units of the generating vector; a step that does
+    not fit a float64 in them (steps scale as ``1/lambda``, so only for a
+    ``v`` near the bottom of the subnormal range) reads ``inf``.
     """
 
     k: int
@@ -325,15 +328,28 @@ def _normalised(cache: SpectralCache) -> tuple[SpectralCache, int]:
     return replace(cache, exponent=0), cache.exponent
 
 
+def _scaled_step(alpha: float, exponent: int) -> float:
+    """``alpha * 2**exponent`` for a step ``alpha >= 0``, ``inf`` where that
+    overflows."""
+    try:
+        return math.ldexp(alpha, exponent)
+    except OverflowError:
+        return math.inf
+
+
 def _result(ev: ObjectiveEval, x: np.ndarray, k: int, termination: Termination,
             trace: list[IterationRecord], tally: Counter, exponent: int,
-            path: list[np.ndarray] | None = None) -> EigenResult:
+            path: list[np.ndarray] | None = None, *,
+            shift: bool = False) -> EigenResult:
     """The :class:`EigenResult` at the last iterate of a run on the
     normalised tensor, scaled back by ``2**exponent``.
 
     The residual ``||H x^{m-1} - f B x^{m-1}||`` comes from the products
-    ``ev`` holds.  Raises :class:`ResultOverflowError` when a scaled value
-    does not fit a float64.
+    ``ev`` holds.  Trace steps scale by ``2**-exponent``, or, when
+    ``shift`` says the trace holds the power iteration's shifts, in the
+    units of lambda, by ``2**exponent``.  Raises
+    :class:`ResultOverflowError` when lambda, the residual or a gradient
+    norm does not fit a float64 once scaled.
     """
     trace.append(IterationRecord(k=k, lambda_k=ev.f,
                                  grad_norm=float(np.linalg.norm(ev.g)),
@@ -341,12 +357,13 @@ def _result(ev: ObjectiveEval, x: np.ndarray, k: int, termination: Termination,
     lam = ev.f
     res = float(np.linalg.norm(ev.hxm1 - ev.f * ev.bxm1))
     if exponent:
+        step_exponent = exponent if shift else -exponent
         try:
             lam = math.ldexp(lam, exponent)
             res = math.ldexp(res, exponent)
             trace = [replace(r, lambda_k=math.ldexp(r.lambda_k, exponent),
                              grad_norm=math.ldexp(r.grad_norm, exponent),
-                             alpha_k=math.ldexp(r.alpha_k, -exponent))
+                             alpha_k=_scaled_step(r.alpha_k, step_exponent))
                      for r in trace]
         except OverflowError:
             raise ResultOverflowError(
@@ -539,7 +556,7 @@ def _power_iteration(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
         if rel_change < tol:
             termination = Termination.CONVERGED
             break
-    return _result(ev, x, k, termination, trace, tally, exponent)
+    return _result(ev, x, k, termination, trace, tally, exponent, shift=True)
 
 
 def power_method_baseline(spec: HankelSpec, kind: BTensorKind,

@@ -191,6 +191,27 @@ def test_solve_scaled_sine_matches_unit_scale(capsys, tmp_path, c):
     assert payload["lambda"] == pytest.approx(expected, rel=1e-10)
 
 
+def test_solve_subnormal_vector(capsys, tmp_path):
+    # e = -1030: the eigenvalue fits a float64, the largest trace steps do
+    # not and are written as inf
+    v = np.array([1e-310 * math.sin(4.0 + k) for k in range(17)])
+    common = ("--order", "4", "--dim", "5", "--btensor", "z", "--extreme",
+              "min", "--starts", "1", "--seed", "1")
+    lams = []
+    for name, w in (("tiny", v), ("unit", np.ldexp(v, 1030))):
+        vec = tmp_path / f"{name}.txt"
+        vec.write_text("".join(f"{float(t)!r}\n" for t in w))
+        out, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        code, _, _ = run(capsys, "solve", "--input", str(vec), *common,
+                         "--out", str(out), "--trace", str(trace))
+        assert code == 0
+        lams.append(json.loads(out.read_text())["lambda"])
+    assert lams[0] == math.ldexp(lams[1], -1030)
+    alphas = [line.split(",")[3]
+              for line in (tmp_path / "tiny.csv").read_text().splitlines()[1:]]
+    assert "inf" in alphas
+
+
 @pytest.mark.parametrize("bad", ["4.5", "true"])
 def test_solve_json_input_needs_integer_order(capsys, tmp_path, bad):
     # 17 entries fit m = 4, n = 5, so a truncated 4.5 or a boolean read as

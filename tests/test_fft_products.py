@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hankeleig.dense_oracle import dense_xm, dense_xm1, materialize
-from hankeleig.fft_products import (HankelSpec, _workspace, _xm1_from_power,
-                                    _xm_and_power, hankel_xm, hankel_xm1,
-                                    make_cache)
+from hankeleig.fft_products import (HankelSpec, _fast_len, _workspace,
+                                    _xm1_from_power, _xm_and_power, hankel_xm,
+                                    hankel_xm1, make_cache)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_spec_validation():
@@ -231,3 +237,45 @@ def test_products_in_a_workspace_allocate_no_spectrum():
     assert allocated < 8 * (cache.size // 2 + 1), allocated
     assert np.array_equal(hxm1, want)
     assert hxm == hankel_xm(cache, spec, x)
+
+
+def _is_5_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def test_fast_len_is_the_least_5_smooth_length():
+    smooth = [k for k in range(1, 20001) if _is_5_smooth(k)]
+    nxt = iter(smooth)
+    want = next(nxt)
+    for t in range(1, 20001):
+        if want < t:
+            want = next(nxt)
+        assert _fast_len(t) == want, t
+
+
+@pytest.mark.parametrize("ell,size", [
+    (1, 1), (17, 18), (5995, 6000), (79997, 80000),
+    (399997, 400000), (3999997, 4000000),
+])
+def test_fast_len_at_benchmark_lengths(ell, size):
+    assert _fast_len(ell) == size
+
+
+def test_fast_len_matches_scipy():
+    next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+    rng = np.random.default_rng(12)
+    lengths = [*range(1, 5001), *rng.integers(1, 10 ** 9, 2000).tolist()]
+    for t in lengths:
+        assert _fast_len(t) == next_fast_len(t, real=True), t
+
+
+def test_importing_the_cli_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = ("import sys, hankeleig.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

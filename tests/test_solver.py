@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import random_unit
 
+import hankeleig
 import hankeleig.solver as solver_mod
 from hankeleig.dense_oracle import dense_xm, dense_xm1, materialize
 from hankeleig.fft_products import HankelSpec, hankel_xm, hankel_xm1, make_cache
@@ -278,6 +279,30 @@ class TestScaleCovariance:
                 solve(spec, Z, opts)
             with pytest.raises(ValueError, match="overflows"):
                 multistart(spec, Z, opts)
+
+    def test_result_overflow_is_exported(self):
+        assert hankeleig.ResultOverflowError is solver_mod.ResultOverflowError
+
+    def test_subnormal_vector_solves_like_its_scaled_copy(self):
+        # e = -1030: lambda, the residual and the gradient norms fit a
+        # float64 once scaled back, but the largest steps, scaled by
+        # 2**1030, do not, and read inf instead of failing the solve
+        v = 1e-310 * _sine().v
+        opts = SolverOptions(seed=1)
+        res = solve(HankelSpec(4, 5, v), Z, opts)
+        base = solve(HankelSpec(4, 5, np.ldexp(v, 1030)), Z, opts)
+        assert res.eigenvalue == math.ldexp(base.eigenvalue, -1030)
+        assert res.residual == math.ldexp(base.residual, -1030)
+        assert np.array_equal(res.x, base.x)
+        assert res.stats == base.stats
+        # a product with a power of two is exact, or inf where it overflows
+        assert res.trace == [
+            replace(r, lambda_k=math.ldexp(r.lambda_k, -1030),
+                    grad_norm=math.ldexp(r.grad_norm, -1030),
+                    alpha_k=r.alpha_k * math.ldexp(1.0, 1000) * 2.0 ** 30)
+            for r in base.trace]
+        alphas = [r.alpha_k for r in res.trace]
+        assert math.inf in alphas and any(0.0 < a < math.inf for a in alphas)
 
     def test_hilbert_backtracks_fewer_than_two_per_iteration(self):
         # lambda is about 3.6e11 here, so the Barzilai-Borwein steps are
@@ -590,6 +615,11 @@ class TestPowerMethodBaseline:
         small = power_method_baseline(_sine(math.ldexp(1.0, -20)), Z, opts)
         assert small.eigenvalue == math.ldexp(base.eigenvalue, -20)
         assert np.array_equal(small.x, base.x)
+        # alpha_k holds the shift, which is in the units of lambda
+        assert small.trace == [replace(r, lambda_k=math.ldexp(r.lambda_k, -20),
+                                       grad_norm=math.ldexp(r.grad_norm, -20),
+                                       alpha_k=math.ldexp(r.alpha_k, -20))
+                               for r in base.trace]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             huge = power_method_baseline(_sine(1e300), Z, opts)
