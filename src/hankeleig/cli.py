@@ -233,10 +233,6 @@ def _load_spec(args) -> tuple[HankelSpec, dict]:
 def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     spec, source = _load_spec(args)
-    if spec.m % 2 != 0:
-        raise UsageError(
-            f"the solver needs an even tensor order, got m = {spec.m}"
-        )
     kind = BTensorKind(args.btensor)
     opts = SolverOptions(
         eta=args.eta, beta=args.beta, alpha_max=args.alpha_max,

@@ -1,12 +1,15 @@
 """Curvilinear search on the unit sphere for extremal Hankel eigenpairs.
 
-The iteration moves along the sphere-preserving curve obtained from a
-Cayley transform of a rank-two skew matrix built from the iterate and the
-gradient.  A backtracking search enforces sufficient decrease (increase,
-for the largest eigenvalue), the next trial step comes from the geometric
-mean of the two Barzilai-Borwein step sizes, and the run stops when the
-objective stalls in relative terms.  A multistart driver and a shifted
-power-iteration baseline sit on top for cross-validation.
+One loop, :func:`_iterate`, runs both iterations of this module; they
+differ only in the step rule it is given.  The paper's rule moves along
+the sphere-preserving curve obtained from a Cayley transform of a
+rank-two skew matrix built from the iterate and the gradient: a
+backtracking search enforces sufficient decrease (increase, for the
+largest eigenvalue) and the next trial step comes from the geometric mean
+of the two Barzilai-Borwein step sizes.  The shifted power rule of the
+cross-check baseline normalises a shifted product instead.  The loop
+stops when the objective stalls in relative terms.  A multistart driver
+sits on top.
 
 Both iterations run on the normalised tensor ``v * 2**-e`` of the spectral
 cache (see :class:`~hankeleig.fft_products.SpectralCache`) and scale the
@@ -311,21 +314,31 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
     )
 
 
-def _draw_start(rng: np.random.Generator, n: int) -> np.ndarray:
-    while True:
-        x = rng.standard_normal(n)
-        nrm = float(np.linalg.norm(x))
-        if nrm > 0.0:
-            return x / nrm
+def _start(n: int, seed: int, x_1=None) -> np.ndarray:
+    """``x_1 / ||x_1||``, for a Gaussian draw from ``seed`` if ``x_1`` is
+    None.  It is taken on ``x_1 * 2**-e`` (``e`` the exponent of
+    ``max|x_1|``), so the norm neither overflows nor underflows, and is
+    the plain quotient to the last bit wherever that does neither."""
+    if x_1 is None:
+        x = np.random.default_rng(seed).standard_normal(n)
+    else:
+        x = np.asarray(x_1, dtype=float).reshape(-1)
+        if x.size != n:
+            raise ValueError(f"x_1 must have length n = {n}, got {x.size}")
+    top = float(np.max(np.abs(x)))
+    if not math.isfinite(top):
+        raise ValueError("x_1 must be finite")
+    if top == 0.0:
+        raise ValueError("x_1 must be nonzero")
+    x = np.ldexp(x, -math.frexp(top)[1])
+    return x / float(np.linalg.norm(x))
 
 
-def _normalised(cache: SpectralCache) -> tuple[SpectralCache, int]:
-    """The cache of ``v * 2**-e`` (the same spectra with exponent 0) and
-    ``e``.  A cache with ``e == 0`` is returned as it is, so the common
-    case builds no copy per start."""
-    if not cache.exponent:
-        return cache, 0
-    return replace(cache, exponent=0), cache.exponent
+def _require_even(spec: HankelSpec) -> None:
+    if spec.m % 2 != 0:
+        raise UnsupportedOrderError(
+            f"the spherical quotient needs an even order, got m = {spec.m}"
+        )
 
 
 def _scaled_step(alpha: float, exponent: int) -> float:
@@ -337,24 +350,61 @@ def _scaled_step(alpha: float, exponent: int) -> float:
         return math.inf
 
 
-def _result(ev: ObjectiveEval, x: np.ndarray, k: int, termination: Termination,
-            trace: list[IterationRecord], tally: Counter, exponent: int,
-            path: list[np.ndarray] | None = None, *,
-            shift: bool = False) -> EigenResult:
-    """The :class:`EigenResult` at the last iterate of a run on the
-    normalised tensor, scaled back by ``2**exponent``.
+def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
+             opts: SolverOptions, x: np.ndarray, first_step, *,
+             shift: bool = False) -> EigenResult:
+    """The one iteration loop, from the unit start ``x``.
 
-    The residual ``||H x^{m-1} - f B x^{m-1}||`` comes from the products
-    ``ev`` holds.  Trace steps scale by ``2**-exponent``, or, when
-    ``shift`` says the trace holds the power iteration's shifts, in the
-    units of lambda, by ``2**exponent``.  Raises
-    :class:`ResultOverflowError` when lambda, the residual or a gradient
-    norm does not fit a float64 once scaled.
+    ``first_step(spec, cache, kind, opts, ev_1)`` returns the step rule
+    ``step(x, ev, tally, ws) -> (x+, ev+, alpha_k, backtracks)``, which
+    raises :class:`LineSearchStallError` when it finds no acceptable point.
+    The run is on the cache of ``v * 2**-e`` (the same spectra with
+    exponent 0), in one workspace, and its result is scaled back: lambda,
+    the residual and the trace by ``2**e``, trace steps by ``2**-e``, or,
+    when ``shift`` says they are the power iteration's shifts, in the
+    units of lambda, by ``2**e``.  Raises :class:`ResultOverflowError`
+    when lambda, the residual or a gradient norm does not fit a float64
+    once scaled.
     """
+    exponent = cache.exponent
+    if exponent:
+        cache = replace(cache, exponent=0)
+    ws = _workspace(cache)
+    ev = _evaluate(spec, cache, kind, x, ws)
+    tally = Counter(forward_transforms=1, inverse_transforms=1)
+    step = first_step(spec, cache, kind, opts, ev)
+    tol = opts.tol_rel * math.sqrt(spec.n)
+    trace: list[IterationRecord] = []
+    path: list[np.ndarray] | None = [x.copy()] if opts.keep_path else None
+    termination = Termination.MAX_ITER
+    k = 1
+    while True:
+        gnorm = float(np.linalg.norm(ev.g))
+        if gnorm <= _ZERO_GRAD_FLOOR * max(1.0, abs(ev.f)):
+            termination = Termination.ZERO_GRADIENT
+            break
+        if k > opts.max_iter:
+            break
+        try:
+            x_new, ev_new, alpha_k, backtracks = step(x, ev, tally, ws)
+        except LineSearchStallError:
+            termination = Termination.LINESEARCH_STALL
+            break
+        trace.append(IterationRecord(k=k, lambda_k=ev.f, grad_norm=gnorm,
+                                     alpha_k=alpha_k, backtracks=backtracks))
+        if path is not None:
+            path.append(x_new.copy())
+        rel_change = abs(ev_new.f - ev.f) / max(1.0, abs(ev.f))
+        x, ev = x_new, ev_new
+        k += 1
+        if rel_change < tol:
+            termination = Termination.CONVERGED
+            break
     trace.append(IterationRecord(k=k, lambda_k=ev.f,
                                  grad_norm=float(np.linalg.norm(ev.g)),
                                  alpha_k=0.0, backtracks=0))
     lam = ev.f
+    # ||H x^{m-1} - f B x^{m-1}|| from the products ev holds
     res = float(np.linalg.norm(ev.hxm1 - ev.f * ev.bxm1))
     if exponent:
         step_exponent = exponent if shift else -exponent
@@ -375,77 +425,47 @@ def _result(ev: ObjectiveEval, x: np.ndarray, k: int, termination: Termination,
                        stats=SolveStats(**tally))
 
 
-def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
-          x_1: np.ndarray | None = None, *,
-          cache: SpectralCache | None = None) -> EigenResult:
-    """Run the curvilinear search from one starting point.
+def _search_rule(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
+                 opts: SolverOptions, ev_1: ObjectiveEval):
+    """The paper's step: :func:`curvilinear_search` from the
+    Barzilai-Borwein trial step, ``alpha_1 / max(1, |f_1|)`` at first."""
+    alpha_bar = opts.alpha_1 / max(1.0, abs(ev_1.f))
 
-    ``x_1`` defaults to a normalised Gaussian draw from ``opts.seed``.  The
-    trace holds one row per visited iterate; the eigenvalue column is
-    strictly monotone in the direction of ``opts.extreme``.  ``cache``
-    defaults to ``make_cache(spec)``; pass one to share it between runs on
-    the same tensor.  The run works on the normalised tensor of the cache;
-    raises :class:`ResultOverflowError` if its result does not fit a
-    float64 in the units of ``v``.
-    """
-    if spec.m % 2 != 0:
-        raise UnsupportedOrderError(
-            f"the spherical quotient needs an even order, got m = {spec.m}"
-        )
-    if cache is None:
-        cache = make_cache(spec)
-    cache, exponent = _normalised(cache)
-    if x_1 is None:
-        x = _draw_start(np.random.default_rng(opts.seed), spec.n)
-    else:
-        x = np.asarray(x_1, dtype=float).reshape(-1)
-        if x.size != spec.n:
-            raise ValueError(f"x_1 must have length n = {spec.n}, got {x.size}")
-        nrm = float(np.linalg.norm(x))
-        if nrm == 0.0:
-            raise ValueError("x_1 must be nonzero")
-        x = x / nrm
-
-    # every transform of the run, and its scratch vectors, use this
-    ws = _workspace(cache)
-    ev = _evaluate(spec, cache, kind, x, ws)
-    tally = Counter(forward_transforms=1, inverse_transforms=1)
-    alpha_bar = opts.alpha_1 / max(1.0, abs(ev.f))
-    tol = opts.tol_rel * math.sqrt(spec.n)
-    trace: list[IterationRecord] = []
-    path: list[np.ndarray] | None = [x.copy()] if opts.keep_path else None
-    termination = Termination.MAX_ITER
-    k = 1
-    while True:
-        gnorm = float(np.linalg.norm(ev.g))
-        if gnorm <= _ZERO_GRAD_FLOOR * max(1.0, abs(ev.f)):
-            termination = Termination.ZERO_GRADIENT
-            break
-        if k > opts.max_iter:
-            termination = Termination.MAX_ITER
-            break
-        try:
-            alpha_k, x_new, ev_new, backtracks = curvilinear_search(
-                spec, cache, kind, x, ev, alpha_bar, opts, tally, ws)
-        except LineSearchStallError:
-            termination = Termination.LINESEARCH_STALL
-            break
-        trace.append(IterationRecord(k=k, lambda_k=ev.f, grad_norm=gnorm,
-                                     alpha_k=alpha_k, backtracks=backtracks))
-        if path is not None:
-            path.append(x_new.copy())
-        rel_change = abs(ev_new.f - ev.f) / max(1.0, abs(ev.f))
+    def step(x, ev, tally, ws):
+        nonlocal alpha_bar
+        alpha_k, x_new, ev_new, backtracks = curvilinear_search(
+            spec, cache, kind, x, ev, alpha_bar, opts, tally, ws)
         # the workspace is free until the next search
         dx = np.subtract(x_new, x, out=ws[0].view(float)[: spec.n])
         dg = np.subtract(ev_new.g, ev.g, out=ws[1].view(float)[: spec.n])
         alpha_bar = bb_initial_step(dx, dg, opts.alpha_max, fallback=alpha_bar,
                                     scale=max(1.0, abs(ev_new.f)))
-        x, ev = x_new, ev_new
-        k += 1
-        if rel_change < tol:
-            termination = Termination.CONVERGED
-            break
-    return _result(ev, x, k, termination, trace, tally, exponent, path)
+        return x_new, ev_new, alpha_k, backtracks
+
+    return step
+
+
+def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
+          x_1: np.ndarray | None = None, *,
+          cache: SpectralCache | None = None) -> EigenResult:
+    """Run the curvilinear search from one starting point.
+
+    ``x_1``, any finite nonzero vector, defaults to a Gaussian draw from
+    ``opts.seed``; either is normalised.  The trace holds one row per
+    visited iterate; the eigenvalue column is strictly monotone in the
+    direction of ``opts.extreme``.  ``cache`` defaults to
+    ``make_cache(spec)``; pass one to share it between runs on the same
+    tensor.  The run works on the normalised tensor of the cache; raises
+    :class:`ResultOverflowError` if its result does not fit a float64 in
+    the units of ``v``.
+    """
+    _require_even(spec)
+    if cache is None:
+        cache = make_cache(spec)
+    # The start is passed on without a name here, so the loop frees it
+    # once it has moved on.
+    return _iterate(spec, cache, kind, opts, _start(spec.n, opts.seed, x_1),
+                    _search_rule)
 
 
 def _bin_eigenvalues(values: list[float],
@@ -479,8 +499,8 @@ def multistart(spec: HankelSpec, kind: ReferenceTensor,
     :class:`ResultOverflowError`: a tensor whose eigenvalues do not fit a
     float64 is an input error.
     """
-    # An odd order fails in every start; it needs no cache.
-    cache = make_cache(spec) if spec.m % 2 == 0 else None
+    _require_even(spec)
+    cache = make_cache(spec)
     results: list[EigenResult] = []
     failures: list[tuple[int, str]] = []
     for i in range(opts.starts):
@@ -501,62 +521,43 @@ def multistart(spec: HankelSpec, kind: ReferenceTensor,
                              bins=bins)
 
 
-def _power_iteration(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
-                     opts: SolverOptions, x: np.ndarray) -> EigenResult:
-    cache, exponent = _normalised(cache)
+def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
+                opts: SolverOptions, ev_1: ObjectiveEval):
+    """The shifted power step of :func:`power_method_baseline`."""
     sgn = _sign(opts.extreme)
-    ws = _workspace(cache)
-    ev = _evaluate(spec, cache, kind, x, ws)
-    tally = Counter(forward_transforms=1, inverse_transforms=1)
+    root = 1.0 / (spec.m - 1)
     # The shift must dominate |lambda| so the fixed-point multiplier stays
     # positive; it doubles whenever a step breaks monotonicity.
-    shift = abs(ev.f) + 1.0
-    tol = opts.tol_rel * math.sqrt(spec.n)
-    root = 1.0 / (spec.m - 1)
-    trace: list[IterationRecord] = []
-    termination = Termination.MAX_ITER
-    k = 1
-    while k <= opts.max_iter:
-        gnorm = float(np.linalg.norm(ev.g))
-        if gnorm <= _ZERO_GRAD_FLOOR * max(1.0, abs(ev.f)):
-            termination = Termination.ZERO_GRADIENT
-            break
-        repairs = 0
-        stalled = False
-        while True:
+    shift = abs(ev_1.f) + 1.0
+
+    def step(x, ev, tally, ws):
+        nonlocal shift
+        for repairs in range(opts.max_backtracks + 1):
+            if repairs:
+                shift *= 2.0
             u = sgn * ev.hxm1 + shift * ev.bxm1
-            if kind is BTensorKind.Z_IDENTITY:
-                t = u
-            else:
-                t = np.sign(u) * np.abs(u) ** root
-            nt = float(np.linalg.norm(t))
-            if nt > 0.0:
-                x_new = t / nt
+            if kind is not BTensorKind.Z_IDENTITY:
+                u = np.sign(u) * np.abs(u) ** root
+            nu = float(np.linalg.norm(u))
+            if nu > 0.0:
+                x_new = u / nu
                 ev_new = _evaluate(spec, cache, kind, x_new, ws)
                 tally["forward_transforms"] += 1
                 tally["inverse_transforms"] += 1
                 tally["trials"] += 1
                 if sgn * (ev_new.f - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):
-                    break
-            repairs += 1
+                    taken, shift = shift, max(shift, abs(ev_new.f) + 1.0)
+                    return x_new, ev_new, taken, repairs
             tally["backtracks"] += 1
-            if repairs > opts.max_backtracks:
-                stalled = True
-                break
-            shift *= 2.0
-        if stalled:
-            termination = Termination.LINESEARCH_STALL
-            break
-        trace.append(IterationRecord(k=k, lambda_k=ev.f, grad_norm=gnorm,
-                                     alpha_k=shift, backtracks=repairs))
-        rel_change = abs(ev_new.f - ev.f) / max(1.0, abs(ev.f))
-        x, ev = x_new, ev_new
-        shift = max(shift, abs(ev.f) + 1.0)
-        k += 1
-        if rel_change < tol:
-            termination = Termination.CONVERGED
-            break
-    return _result(ev, x, k, termination, trace, tally, exponent, shift=True)
+        raise LineSearchStallError(
+            f"no monotone step within {opts.max_backtracks} shift doublings")
+
+    return step
+
+
+def _power_iteration(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
+                     opts: SolverOptions, x: np.ndarray) -> EigenResult:
+    return _iterate(spec, cache, kind, opts, x, _power_rule, shift=True)
 
 
 def power_method_baseline(spec: HankelSpec, kind: BTensorKind,
@@ -571,10 +572,7 @@ def power_method_baseline(spec: HankelSpec, kind: BTensorKind,
     number of shift doublings.  Intended only as a cross-check for the
     curvilinear search.
     """
-    if spec.m % 2 != 0:
-        raise UnsupportedOrderError(
-            f"the spherical quotient needs an even order, got m = {spec.m}"
-        )
+    _require_even(spec)
     if not isinstance(kind, BTensorKind):
         raise TypeError(
             "the power iteration needs to invert the reference tensor's "
@@ -584,8 +582,8 @@ def power_method_baseline(spec: HankelSpec, kind: BTensorKind,
     best: EigenResult | None = None
     sgn = _sign(opts.extreme)
     for i in range(opts.starts):
-        x = _draw_start(np.random.default_rng(opts.seed + i), spec.n)
-        res = _power_iteration(spec, cache, kind, opts, x)
+        res = _power_iteration(spec, cache, kind, opts,
+                               _start(spec.n, opts.seed + i))
         if best is None or sgn * (res.eigenvalue - best.eigenvalue) > 0.0:
             best = res
     assert best is not None

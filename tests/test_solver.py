@@ -247,6 +247,28 @@ class TestSolve:
         assert res.trace[0].lambda_k == evaluate(
             spec, cache, Z, x1 / 3.0).f
 
+    @pytest.mark.parametrize("x1", [np.full(5, np.nan),
+                                    np.array([np.inf, 0.0, 0.0, 0.0, 0.0])],
+                             ids=["nan", "inf"])
+    def test_non_finite_start_rejected(self, x1):
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                solve(spec, Z, SolverOptions(), x_1=x1)
+
+    @pytest.mark.parametrize("c", [1e200, 1e-320, 1e308])
+    def test_start_of_any_finite_size_is_the_unit_start(self, c):
+        # the norm of c * ones(5) overflows or underflows for these c
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        base = solve(spec, Z, SolverOptions(), x_1=np.ones(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(spec, Z, SolverOptions(), x_1=np.full(5, c))
+        assert res.eigenvalue == base.eigenvalue
+        assert np.array_equal(res.x, base.x)
+        assert res.trace == base.trace and res.stats == base.stats
+
 
 def _sine(c=1.0):
     return HankelSpec(4, 5, c * generate(FamilySpec(Family.SIN, 4, 5)).v)
@@ -429,6 +451,14 @@ class TestMultistart:
         assert scaled.bins == [replace(b, eigenvalue=math.ldexp(b.eigenvalue, k))
                                for b in base.bins]
 
+    def test_odd_order_raises_before_building_a_cache(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(solver_mod, "make_cache", builds.append)
+        with pytest.raises(UnsupportedOrderError, match="even"):
+            multistart(HankelSpec(m=3, n=4, v=np.ones(10)), Z,
+                       SolverOptions(starts=3))
+        assert builds == []
+
 
 class TestSolveStats:
     """Per start, one forward transform per trial point and one inverse
@@ -596,6 +626,35 @@ class TestPowerMethodBaseline:
         spec = HankelSpec(m=3, n=4, v=np.ones(10))
         with pytest.raises(UnsupportedOrderError):
             power_method_baseline(spec, Z, SolverOptions())
+
+    @pytest.mark.parametrize("seed,iterations,stats", [
+        (2, 0, (2, 2, 1, 1)),
+        (3, 1, (3, 3, 2, 1)),
+    ])
+    def test_stall_without_shift_doubling(self, seed, iterations, stats):
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        x = random_unit(np.random.default_rng(seed), spec.n)
+        res = solver_mod._power_iteration(
+            spec, make_cache(spec), Z,
+            SolverOptions(extreme=Extreme.MAX, max_backtracks=0), x)
+        assert res.termination is Termination.LINESEARCH_STALL
+        assert res.iterations == iterations
+        assert (res.stats.forward_transforms, res.stats.inverse_transforms,
+                res.stats.trials, res.stats.backtracks) == stats
+        assert len(res.trace) == iterations + 1
+
+    def test_path_follows_the_recorded_shifts(self):
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        cache = make_cache(spec)
+        res = power_method_baseline(spec, Z, SolverOptions(seed=1,
+                                                           keep_path=True))
+        assert len(res.path) == len(res.trace) == res.iterations + 1
+        assert np.array_equal(res.path[-1], res.x)
+        # MIN: x+ = normalize(-H x^{m-1} + shift * x) for the Z identity
+        for row, x, x_next in zip(res.trace, res.path, res.path[1:]):
+            u = -hankel_xm1(cache, spec, x) + row.alpha_k * x
+            assert np.allclose(x_next, u / np.linalg.norm(u), rtol=0.0,
+                               atol=1e-12)
 
     def test_agrees_with_curvilinear_search(self):
         spec = generate(FamilySpec(Family.SIN, 4, 5))
