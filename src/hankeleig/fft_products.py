@@ -12,7 +12,8 @@ wrap-around, in O(m*n*log(m*n)) time from ``v`` alone and with no dense
 storage.  ``size`` is the smallest 5-smooth length ``2**a * 3**b * 5**c``
 at least ``ell``, which keeps the cost a smooth function of ``ell`` whatever
 its prime factors: pocketfft, the C++ FFT behind ``numpy.fft``, runs its
-fastest kernels on those factors.
+fastest kernels on those factors.  The tensor is kept as one half
+spectrum, ``rfft(v, size)``, which gives ``H x^m`` by the Hermitian fold.
 
 Every transform is ``numpy.fft``'s, which writes into a given ``out=``
 array (NumPy 2.0 and later).  A solver run allocates one workspace, two
@@ -88,19 +89,17 @@ class HankelSpec:
 
 @dataclass(frozen=True)
 class SpectralCache:
-    """Reusable spectral data for one Hankel tensor.
+    """Reusable spectral data for one Hankel tensor: one half spectrum.
 
     ``exponent`` is ``e`` with ``2**e`` the power of two nearest ``max|v|``
     (0 for a zero ``v``).  ``vhat`` is ``rfft(v * 2**-e, size)``, the half
     spectrum of the zero-padded normalised generating vector, so a vector
-    near overflow or underflow is transformed at unit scale.
-    ``xm_weights`` is ``conj(vhat)`` times the Hermitian half-spectrum
-    weights (1 at zero frequency and, for even ``size``, at the Nyquist
-    frequency, 2 elsewhere) divided by ``size``, so that ``H x^m`` is
-    ``2**e`` times the real part of one dot product with
-    ``rfft(x, size)**m``.  Every product is scaled back by ``2**e``, which
-    is exact, so the products are those of ``v`` to the last bit.  The same
-    spectra with ``exponent`` 0 are the cache of the normalised tensor,
+    near overflow or underflow is transformed at unit scale.  Both products
+    read it: ``H x^{m-1}`` as a correlation, and ``H x^m`` as the dot
+    product of ``vhat`` with ``rfft(x, size)**m`` folded over the Hermitian
+    half spectrum.  Every product is scaled back by ``2**e``, which is
+    exact, so the products are those of ``v`` to the last bit.  The same
+    spectrum with ``exponent`` 0 is the cache of the normalised tensor,
     which is what the solver works on.  All fields are immutable after
     construction, so one cache may serve any number of concurrent product
     calls.
@@ -108,12 +107,10 @@ class SpectralCache:
 
     size: int
     vhat: np.ndarray
-    xm_weights: np.ndarray
     exponent: int
 
     def __post_init__(self):
         self.vhat.flags.writeable = False
-        self.xm_weights.flags.writeable = False
 
 
 def _fast_len(ell: int) -> int:
@@ -135,21 +132,14 @@ def _fast_len(ell: int) -> int:
 
 
 def make_cache(spec: HankelSpec) -> SpectralCache:
-    """Build the spectral cache (one real FFT of the normalised generating
-    vector)."""
+    """Build the spectral cache: one real FFT of the normalised ``v``."""
     size = _fast_len(spec.ell)
     # max|v| without a full-size temporary
     mant, exponent = math.frexp(max(float(spec.v.max()), -float(spec.v.min())))
     if 0.0 < mant < math.sqrt(0.5):
         exponent -= 1  # 2**(exponent-1) is the nearer power by ratio
     vhat = np.fft.rfft(np.ldexp(spec.v, -exponent), n=size)
-    weights = np.full(vhat.size, 2.0)
-    weights[0] = 1.0
-    if size % 2 == 0:
-        weights[-1] = 1.0
-    return SpectralCache(size=size, vhat=vhat,
-                         xm_weights=np.conj(vhat) * (weights / size),
-                         exponent=exponent)
+    return SpectralCache(size=size, vhat=vhat, exponent=exponent)
 
 
 def _power(a: np.ndarray, k: int) -> np.ndarray:
@@ -199,7 +189,13 @@ def _xm_and_power(cache: SpectralCache, spec: HankelSpec, x: np.ndarray,
     # commutative, and ``p * z`` is the loop's next step, so ``H x^m`` is
     # the same to the last bit as from an m-fold loop.
     np.multiply(p, z, out=z)
-    hxm = float((cache.xm_weights @ z).real)
+    # Parseval folded onto the half spectrum: each bin stands for itself and
+    # its mirror, except zero frequency and, for even size, the Nyquist bin.
+    vhat = cache.vhat
+    hxm = 2.0 * np.vdot(vhat, z).real - (vhat.item(0) * z.item(0)).real
+    if cache.size % 2 == 0:
+        hxm -= (vhat.item(-1) * z.item(-1)).real
+    hxm = float(hxm) / cache.size
     if cache.exponent:
         hxm = float(np.ldexp(hxm, cache.exponent))
     return hxm, p

@@ -52,8 +52,8 @@ class ReferenceProducts:
     Supply the two products as callables of ``(m, x)``.  Any such pair can
     be passed wherever a :class:`BTensorKind` is accepted by the objective
     and the curvilinear solver.  The caller is responsible for positive
-    definiteness (even order); ``B x^m <= 0`` is still caught at evaluation
-    time.
+    definiteness (even order); ``B x^m <= 0`` is still caught at every
+    point where the quotient is taken, line-search trials included.
     """
 
     xm: Callable[[int, np.ndarray], float]
@@ -118,6 +118,17 @@ def b_xm2(kind: BTensorKind, m: int, x: np.ndarray) -> np.ndarray:
     return np.diag(x ** (m - 2))
 
 
+def _positive_b_xm(kind: ReferenceTensor, m: int, x: np.ndarray) -> float:
+    """:func:`b_xm`; :class:`InvalidReferenceTensorError` unless positive."""
+    bxm = b_xm(kind, m, x)
+    if bxm <= 0.0:
+        raise InvalidReferenceTensorError(
+            f"B x^m = {bxm!r} is not positive; the reference tensor is not "
+            "positive definite at this point (odd order?)"
+        )
+    return bxm
+
+
 def _require_unit(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     nrm = float(np.linalg.norm(x))
@@ -153,12 +164,7 @@ def _assemble(spec: HankelSpec, kind: ReferenceTensor, x: np.ndarray,
     """The :class:`ObjectiveEval` at a unit ``x`` from its two Hankel
     products, however they were computed.  The gradient is built in
     place, with its one temporary in the workspace ``ws``."""
-    bxm = b_xm(kind, spec.m, x)
-    if bxm <= 0.0:
-        raise InvalidReferenceTensorError(
-            f"B x^m = {bxm!r} is not positive; the reference tensor is not "
-            "positive definite at this point (odd order?)"
-        )
+    bxm = _positive_b_xm(kind, spec.m, x)
     bxm1 = b_xm1(kind, spec.m, x)
     f = hxm / bxm
     # g = (m / bxm) * (hxm1 - f * bxm1), built in place

@@ -30,7 +30,7 @@ import numpy as np
 from .fft_products import (HankelSpec, SpectralCache, _workspace,
                            _xm1_from_power, _xm_and_power, make_cache)
 from .objective import (BTensorKind, ObjectiveEval, ReferenceTensor,
-                        _assemble, _evaluate, b_xm)
+                        _assemble, _evaluate, _positive_b_xm)
 
 __all__ = [
     "Extreme",
@@ -301,7 +301,7 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
         hxm, p = _xm_and_power(cache, spec, x_trial, ws)
         tally["forward_transforms"] += 1
         tally["trials"] += 1
-        f_trial = hxm / b_xm(kind, spec.m, x_trial)
+        f_trial = hxm / _positive_b_xm(kind, spec.m, x_trial)
         # Strict inequality keeps the trace strictly monotone even when the
         # required decrease rounds to nothing.
         if sgn * (f_trial - f_k) >= opts.eta * alpha * gnorm2 and f_trial != f_k:

@@ -64,9 +64,6 @@ def test_cache_matches_explicit_three_point_dft():
     vhat = unscaled(cache, cache.vhat)
     assert np.allclose(vhat, expected, atol=1e-14)
     assert np.allclose(vhat, [6.0, -1.5 + 0.5j * np.sqrt(3.0)])
-    # Hermitian weights: 1 at zero frequency, 2 at the unpaired bin of odd size
-    assert np.allclose(unscaled(cache, cache.xm_weights),
-                       np.conj(expected) * [1 / 3, 2 / 3])
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 4), (4, 5), (2, 1300), (4, 700)])
@@ -237,6 +234,23 @@ def test_products_in_a_workspace_allocate_no_spectrum():
     assert allocated < 8 * (cache.size // 2 + 1), allocated
     assert np.array_equal(hxm1, want)
     assert hxm == hankel_xm(cache, spec, x)
+
+
+def test_cache_keeps_one_half_spectrum():
+    # Both products read vhat, so the cache holds one complex half spectrum
+    # and nothing else of that size.
+    m, n = 4, 20000
+    spec = HankelSpec(m=m, n=n,
+                      v=np.random.default_rng(6).standard_normal(m * (n - 1) + 1))
+    make_cache(spec)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cache = make_cache(spec)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept <= 16 * (cache.size // 2 + 1) + 1024, kept
 
 
 def _is_5_smooth(k):

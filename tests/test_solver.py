@@ -13,8 +13,8 @@ import hankeleig.solver as solver_mod
 from hankeleig.dense_oracle import dense_xm, dense_xm1, materialize
 from hankeleig.fft_products import HankelSpec, hankel_xm, hankel_xm1, make_cache
 from hankeleig.generators import Family, FamilySpec, generate
-from hankeleig.objective import (BTensorKind, ReferenceProducts, evaluate,
-                                 residual)
+from hankeleig.objective import (BTensorKind, InvalidReferenceTensorError,
+                                 ReferenceProducts, evaluate, residual)
 from hankeleig.solver import (
     EigenResult,
     Extreme,
@@ -34,6 +34,18 @@ from hankeleig.solver import (
 
 Z = BTensorKind.Z_IDENTITY
 H = BTensorKind.H_IDENTITY
+
+
+def _z_identity_zero_below(bound):
+    """The Z identity as a custom reference tensor whose ``B x^m`` is 0
+    wherever ``x[0] < bound``: not positive definite there."""
+    def xm(m, x):
+        return 0.0 if x[0] < bound else float(np.linalg.norm(x)) ** m
+
+    def xm1(m, x):
+        return float(np.linalg.norm(x)) ** (m - 2) * x
+
+    return ReferenceProducts(xm, xm1)
 
 
 def _tangent_pair(rng, n):
@@ -269,6 +281,15 @@ class TestSolve:
         assert np.array_equal(res.x, base.x)
         assert res.trace == base.trace and res.stats == base.stats
 
+    def test_trial_point_with_nonpositive_reference_raises(self):
+        # The start lies where B x^m > 0; a line-search trial of the run
+        # does not, and the quotient there is refused, not divided by zero.
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        opts = SolverOptions(seed=1, extreme=Extreme.MAX)
+        assert solver_mod._start(spec.n, opts.seed)[0] >= -0.5
+        with pytest.raises(InvalidReferenceTensorError):
+            solve(spec, _z_identity_zero_below(-0.5), opts)
+
 
 def _sine(c=1.0):
     return HankelSpec(4, 5, c * generate(FamilySpec(Family.SIN, 4, 5)).v)
@@ -410,6 +431,15 @@ class TestMultistart:
         assert len(out.results) == 3
         assert out.failures == [(1, "RuntimeError: synthetic failure")]
         assert out.best is not None
+
+    def test_nonpositive_reference_is_filed_per_start(self):
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        out = multistart(spec, _z_identity_zero_below(-0.5),
+                         SolverOptions(starts=4, seed=1, extreme=Extreme.MAX))
+        assert [i for i, _ in out.failures] == [0, 3]
+        assert all(msg.startswith("InvalidReferenceTensorError: ")
+                   for _, msg in out.failures)
+        assert len(out.results) == 2 and out.best is not None
 
     def test_cache_is_built_once_per_call(self, monkeypatch):
         spec = generate(FamilySpec(Family.SIN, 4, 5))
