@@ -8,10 +8,10 @@ solver over a list of dimensions.
 
 Exit codes: 0 for a converged solve (or a clean verify), 2 when a solve
 produced no converged result, 1 for usage errors.  All floating point
-output is serialised with 17 significant digits so files round-trip
-exactly; a NaN or infinite value is refused (exit 1).  Result files are
-written atomically (temp file, then rename).  The starts of a solve run one
-after another, so its result is deterministic for a given seed.
+output is serialised in the shortest form that round-trips exactly; a NaN
+or infinite value is refused (exit 1).  Result files are written
+atomically (temp file, then rename).  The starts of a solve run one after
+another, so its result is deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -59,44 +59,23 @@ def _format_float(x: float) -> str:
     # NaN and Infinity are not JSON, and no correct result contains them
     if not math.isfinite(x):
         raise ValueError(f"cannot serialise the non-finite float {x!r}")
-    return format(x, ".17g")
+    return repr(float(x))
+
+
+def _json_default(o):
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, np.integer):
+        return int(o)
+    raise TypeError(f"cannot serialise {type(o).__name__}")
 
 
 def _json_text(obj) -> str:
-    parts: list[str] = []
-
-    def walk(o):
-        if o is None:
-            parts.append("null")
-        elif o is True or o is False:
-            parts.append("true" if o else "false")
-        elif isinstance(o, (int, np.integer)):
-            parts.append(str(int(o)))
-        elif isinstance(o, (float, np.floating)):
-            parts.append(_format_float(float(o)))
-        elif isinstance(o, str):
-            parts.append(json.dumps(o))
-        elif isinstance(o, dict):
-            parts.append("{")
-            for i, (key, val) in enumerate(o.items()):
-                if i:
-                    parts.append(", ")
-                parts.append(json.dumps(str(key)))
-                parts.append(": ")
-                walk(val)
-            parts.append("}")
-        elif isinstance(o, (list, tuple, np.ndarray)):
-            parts.append("[")
-            for i, val in enumerate(o):
-                if i:
-                    parts.append(", ")
-                walk(val)
-            parts.append("]")
-        else:
-            raise TypeError(f"cannot serialise {type(o).__name__}")
-
-    walk(obj)
-    return "".join(parts)
+    # floats in their shortest round-trip form, as _format_float writes them
+    try:
+        return json.dumps(obj, allow_nan=False, default=_json_default)
+    except ValueError as exc:
+        raise ValueError(f"cannot serialise a non-finite float: {exc}") from None
 
 
 def _atomic_write(path: str, data: str | bytes) -> None:

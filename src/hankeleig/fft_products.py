@@ -32,6 +32,7 @@ carry the ``1/size`` factor (the numpy default).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,35 +153,48 @@ def _power(a: np.ndarray, k: int) -> np.ndarray:
     return p
 
 
-def _workspace(cache: SpectralCache) -> tuple[np.ndarray, np.ndarray]:
-    """Two half-spectrum buffers for :func:`_xm_and_power` and
-    :func:`_xm1_from_power`.
+@dataclass(frozen=True, slots=True)
+class _Workspace:
+    """The transform buffers of one solver run, and the work done in them.
 
-    One solver run allocates one workspace and passes it to every product,
-    so a trial point allocates nothing the size of a spectrum.  A
-    workspace belongs to one caller at a time: unlike the cache, it is
-    overwritten by every product that uses it.
+    Every product of the run transforms into the two half spectra
+    ``power`` and ``scratch`` (``size//2 + 1`` complex entries each), so a
+    trial point allocates nothing the size of a spectrum.  ``counts`` is
+    keyed by the field names of :class:`~hankeleig.solver.SolveStats`: the
+    products count the transforms they run, the solver's step rules their
+    trials and backtracks.  Unlike the cache, a workspace belongs to one
+    caller at a time.
     """
+
+    power: np.ndarray
+    scratch: np.ndarray
+    counts: Counter
+
+
+def _workspace(cache: SpectralCache) -> _Workspace:
+    """A fresh :class:`_Workspace` for the transforms of ``cache``."""
     half = cache.size // 2 + 1
-    return np.empty(half, dtype=complex), np.empty(half, dtype=complex)
+    return _Workspace(np.empty(half, dtype=complex),
+                      np.empty(half, dtype=complex), Counter())
 
 
 def _xm_and_power(cache: SpectralCache, spec: HankelSpec, x: np.ndarray,
-                  ws: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
-    """One forward transform: ``H x^m`` and ``p = rfft(x, size)**(m-1)``.
+                  ws: _Workspace) -> float:
+    """One forward transform: ``H x^m``, leaving ``rfft(x, size)**(m-1)``
+    in ``ws.power``.
 
-    ``p`` is the spectrum of the ``(m-1)``-fold self-convolution of ``x``;
-    :func:`_xm1_from_power` turns it into ``H x^{m-1}`` with one inverse
-    transform, so a caller that may need both products transforms ``x``
-    once.  ``p`` is the first buffer of the workspace ``ws`` and stays
-    valid until ``ws`` is used again.
+    That power is the spectrum of the ``(m-1)``-fold self-convolution of
+    ``x``; :func:`_xm1_from_power` turns it into ``H x^{m-1}`` with one
+    inverse transform, so a caller that may need both products transforms
+    ``x`` once.  It stays valid until ``ws`` is used again.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != spec.n:
         raise ValueError(f"x must have length n = {spec.n}, got {x.size}")
-    p, z = ws
+    p, z = ws.power, ws.scratch
     # rfft pads x with zeros to ``size`` itself
     np.fft.rfft(x, n=cache.size, out=z)
+    ws.counts["forward_transforms"] += 1
     # the products of _power(z, m - 1), in its order
     np.copyto(p, z)
     for _ in range(spec.m - 2):
@@ -198,16 +212,18 @@ def _xm_and_power(cache: SpectralCache, spec: HankelSpec, x: np.ndarray,
     hxm = float(hxm) / cache.size
     if cache.exponent:
         hxm = float(np.ldexp(hxm, cache.exponent))
-    return hxm, p
+    return hxm
 
 
-def _xm1_from_power(cache: SpectralCache, spec: HankelSpec, p: np.ndarray,
-                    ws: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``H x^{m-1}`` from ``p`` of :func:`_xm_and_power`, which it consumes
-    (one inverse transform, into the second buffer of ``ws``)."""
+def _xm1_from_power(cache: SpectralCache, spec: HankelSpec,
+                    ws: _Workspace) -> np.ndarray:
+    """``H x^{m-1}`` from the ``ws.power`` of :func:`_xm_and_power`, which
+    it consumes (one inverse transform, into ``ws.scratch``)."""
+    p = ws.power
     np.conjugate(p, out=p)
     p *= cache.vhat
-    signal = np.fft.irfft(p, cache.size, out=ws[1].view(float)[: cache.size])
+    signal = np.fft.irfft(p, cache.size, out=ws.scratch.view(float)[: cache.size])
+    ws.counts["inverse_transforms"] += 1
     hxm1 = signal[: spec.n].copy()
     if cache.exponent:
         np.ldexp(hxm1, cache.exponent, out=hxm1)
@@ -220,7 +236,7 @@ def hankel_xm(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> float:
     Equals the dense contraction of the materialised tensor with ``m``
     copies of ``x``.
     """
-    return _xm_and_power(cache, spec, x, _workspace(cache))[0]
+    return _xm_and_power(cache, spec, x, _workspace(cache))
 
 
 def hankel_xm1(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> np.ndarray:
@@ -231,4 +247,5 @@ def hankel_xm1(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> np.ndar
     ``x @ hankel_xm1(...) == hankel_xm(...)`` up to roundoff.
     """
     ws = _workspace(cache)
-    return _xm1_from_power(cache, spec, _xm_and_power(cache, spec, x, ws)[1], ws)
+    _xm_and_power(cache, spec, x, ws)
+    return _xm1_from_power(cache, spec, ws)

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .fft_products import (HankelSpec, SpectralCache, _power, _workspace,
-                           _xm1_from_power, _xm_and_power, hankel_xm1)
+                           _Workspace, _xm1_from_power, _xm_and_power,
+                           hankel_xm1)
 
 __all__ = [
     "BTensorKind",
@@ -118,17 +119,6 @@ def b_xm2(kind: BTensorKind, m: int, x: np.ndarray) -> np.ndarray:
     return np.diag(x ** (m - 2))
 
 
-def _positive_b_xm(kind: ReferenceTensor, m: int, x: np.ndarray) -> float:
-    """:func:`b_xm`; :class:`InvalidReferenceTensorError` unless positive."""
-    bxm = b_xm(kind, m, x)
-    if bxm <= 0.0:
-        raise InvalidReferenceTensorError(
-            f"B x^m = {bxm!r} is not positive; the reference tensor is not "
-            "positive definite at this point (odd order?)"
-        )
-    return bxm
-
-
 def _require_unit(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     nrm = float(np.linalg.norm(x))
@@ -151,20 +141,38 @@ def evaluate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
 
 
 def _evaluate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
-              x: np.ndarray, ws: tuple[np.ndarray, np.ndarray]) -> ObjectiveEval:
-    """:func:`evaluate` at a unit ``x``, with its transforms in the
-    workspace ``ws`` of :func:`~hankeleig.fft_products._workspace`."""
-    hxm, p = _xm_and_power(cache, spec, x, ws)
-    return _assemble(spec, kind, x, hxm, _xm1_from_power(cache, spec, p, ws), ws)
+              x: np.ndarray, ws: _Workspace) -> ObjectiveEval:
+    """:func:`evaluate` at a unit ``x``: :func:`_gradient` of
+    :func:`_quotient`, in the workspace ``ws``."""
+    _, hxm, bxm = _quotient(spec, cache, kind, x, ws)
+    return _gradient(spec, cache, kind, x, hxm, bxm, ws)
 
 
-def _assemble(spec: HankelSpec, kind: ReferenceTensor, x: np.ndarray,
-              hxm: float, hxm1: np.ndarray,
-              ws: tuple[np.ndarray, np.ndarray]) -> ObjectiveEval:
-    """The :class:`ObjectiveEval` at a unit ``x`` from its two Hankel
-    products, however they were computed.  The gradient is built in
-    place, with its one temporary in the workspace ``ws``."""
-    bxm = _positive_b_xm(kind, spec.m, x)
+def _quotient(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
+              x: np.ndarray, ws: _Workspace) -> tuple[float, float, float]:
+    """``(f, H x^m, B x^m)`` at a unit ``x``, from one forward transform.
+
+    The transform leaves the spectrum of ``x^{m-1}`` in ``ws`` for
+    :func:`_gradient`.  Raises :class:`InvalidReferenceTensorError` unless
+    ``B x^m > 0``.
+    """
+    hxm = _xm_and_power(cache, spec, x, ws)
+    bxm = b_xm(kind, spec.m, x)
+    if bxm <= 0.0:
+        raise InvalidReferenceTensorError(
+            f"B x^m = {bxm!r} is not positive; the reference tensor is not "
+            "positive definite at this point (odd order?)"
+        )
+    return hxm / bxm, hxm, bxm
+
+
+def _gradient(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
+              x: np.ndarray, hxm: float, bxm: float,
+              ws: _Workspace) -> ObjectiveEval:
+    """The :class:`ObjectiveEval` at the ``x`` of the last :func:`_quotient`
+    in ``ws``, from one inverse transform.  The gradient is built in place,
+    with its one temporary in ``ws``."""
+    hxm1 = _xm1_from_power(cache, spec, ws)
     bxm1 = b_xm1(kind, spec.m, x)
     f = hxm / bxm
     # g = (m / bxm) * (hxm1 - f * bxm1), built in place
@@ -174,7 +182,7 @@ def _assemble(spec: HankelSpec, kind: ReferenceTensor, x: np.ndarray,
     # The formula is tangent in exact arithmetic; subtracting the normal
     # component removes roundoff that would otherwise dwarf the gradient
     # once the iterate approaches an eigenvector.
-    g -= np.multiply(x @ g, x, out=ws[0].view(float)[: x.size])
+    g -= np.multiply(x @ g, x, out=ws.power.view(float)[: x.size])
     return ObjectiveEval(f=f, g=g, hxm=hxm, bxm=bxm, hxm1=hxm1, bxm1=bxm1)
 
 

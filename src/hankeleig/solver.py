@@ -21,16 +21,15 @@ is the run on ``v`` scaled by ``2**k``, to the last bit.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .fft_products import (HankelSpec, SpectralCache, _workspace,
-                           _xm1_from_power, _xm_and_power, make_cache)
+from .fft_products import (HankelSpec, SpectralCache, _workspace, _Workspace,
+                           make_cache)
 from .objective import (BTensorKind, ObjectiveEval, ReferenceTensor,
-                        _assemble, _evaluate, _positive_b_xm)
+                        _evaluate, _gradient, _quotient)
 
 __all__ = [
     "Extreme",
@@ -159,13 +158,14 @@ class SolveStats:
     """Work done by one solver run.
 
     ``forward_transforms`` and ``inverse_transforms`` count the real FFTs
-    of points (the iterates and the trial points), not the cache build.
-    ``trials`` counts the candidate points tried and ``backtracks`` the
-    rejected ones.  The curvilinear search transforms each trial once
-    and inverts it only when it is accepted, so a run of ``k`` iterations
-    uses ``1 + trials`` forward and ``1 + k`` inverse transforms.  The
-    power iteration evaluates every trial in full, with one transform of
-    each kind.
+    of points (the iterates and the trial points), not the cache build,
+    where the product kernel runs them.  ``trials`` counts the candidate
+    points tried and ``backtracks`` the rejected ones.  A curvilinear
+    search trial is the quotient of one forward transform, and only the
+    accepted trial adds the inverse transform of its gradient, so a run of
+    ``k`` iterations uses ``1 + trials`` forward and ``1 + k`` inverse
+    transforms.  The power iteration evaluates every trial in full, with
+    one transform of each kind.
     """
 
     forward_transforms: int = 0
@@ -222,14 +222,15 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     t = alpha * float(np.linalg.norm(p))
     u = t * t
-    # (1 - u) / (1 + u) rewritten so huge alpha*||p|| degrades to the
-    # antipode instead of overflowing to nan.
+    # (1 - u) / (1 + u) and 2 alpha / (1 + u) rewritten so huge
+    # alpha*||p|| degrades to the antipode instead of overflowing to nan;
+    # the factor 2, a power of two, commutes with rounding.
     cx = 2.0 / (1.0 + u) - 1.0
-    cp = 2.0 * alpha / (1.0 + u)
+    cp = 2.0 * (alpha / (1.0 + u))
     out = cx * x + _sign(extreme) * cp * p
     nrm = float(np.linalg.norm(out))
     if abs(nrm - 1.0) > 1e-14 and nrm > 0.0:
@@ -246,7 +247,9 @@ def step_length(x: np.ndarray, p: np.ndarray, alpha: float) -> float:
     """
     del x
     t = alpha * float(np.linalg.norm(np.asarray(p, dtype=float)))
-    return 2.0 * t / math.hypot(1.0, t)
+    if t == math.inf:  # the antipodal limit, where inf / inf would be nan
+        return 2.0
+    return 2.0 * (t / math.hypot(1.0, t))
 
 
 def bb_initial_step(dx: np.ndarray, dp: np.ndarray, alpha_max: float,
@@ -269,28 +272,26 @@ def bb_initial_step(dx: np.ndarray, dp: np.ndarray, alpha_max: float,
 def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
                        kind: ReferenceTensor, x_k: np.ndarray,
                        eval_k: ObjectiveEval, alpha_bar: float,
-                       opts: SolverOptions, tally: Counter | None = None,
-                       workspace: tuple[np.ndarray, np.ndarray] | None = None
+                       opts: SolverOptions, workspace: _Workspace | None = None
                        ) -> tuple[float, np.ndarray, ObjectiveEval, int]:
     """Backtrack along the Cayley curve until sufficient decrease holds.
 
     Tries ``alpha = beta^j * alpha_bar`` for ``j = 0, 1, ...`` and accepts
     the first trial with ``f(x+) <= f(x_k) - eta * alpha * ||g||^2`` (MIN;
     the mirrored inequality for MAX).  Returns ``(alpha, x+, eval+, j)``.
-    Each trial costs one forward transform; the accepted one adds one
-    inverse transform for ``eval+``.  ``tally``, if given, receives those
-    counts under the field names of :class:`SolveStats`.  The transforms
-    run in ``workspace``, from :func:`~hankeleig.fft_products._workspace`
-    (a fresh one if it is not given), which is free again on return;
-    :func:`solve` passes one workspace to every search of a run.
+    A trial is the quotient of one forward transform; only the accepted
+    one adds the inverse transform of ``eval+``, so ``B x^m`` is taken once
+    per trial.  The transforms run in ``workspace``, from
+    :func:`~hankeleig.fft_products._workspace` (a fresh one if it is not
+    given), which is free again on return and counts the trials,
+    backtracks and transforms; :func:`solve` passes one workspace to every
+    search of a run.
 
     Raises :class:`LineSearchStallError` after ``max_backtracks`` rejected
     trials; that signals the decrease has fallen below rounding resolution.
     """
     if not 0.0 < alpha_bar <= opts.alpha_max:
         raise ValueError(f"alpha_bar must lie in (0, alpha_max], got {alpha_bar}")
-    if tally is None:
-        tally = Counter()
     ws = _workspace(cache) if workspace is None else workspace
     sgn = _sign(opts.extreme)
     f_k = eval_k.f
@@ -298,17 +299,14 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
     for j in range(opts.max_backtracks + 1):
         alpha = alpha_bar * opts.beta ** j
         x_trial = cayley_step(x_k, eval_k.g, alpha, opts.extreme)
-        hxm, p = _xm_and_power(cache, spec, x_trial, ws)
-        tally["forward_transforms"] += 1
-        tally["trials"] += 1
-        f_trial = hxm / _positive_b_xm(kind, spec.m, x_trial)
+        ws.counts["trials"] += 1
+        f_trial, hxm, bxm = _quotient(spec, cache, kind, x_trial, ws)
         # Strict inequality keeps the trace strictly monotone even when the
         # required decrease rounds to nothing.
         if sgn * (f_trial - f_k) >= opts.eta * alpha * gnorm2 and f_trial != f_k:
-            hxm1 = _xm1_from_power(cache, spec, p, ws)
-            tally["inverse_transforms"] += 1
-            return alpha, x_trial, _assemble(spec, kind, x_trial, hxm, hxm1, ws), j
-        tally["backtracks"] += 1
+            return (alpha, x_trial,
+                    _gradient(spec, cache, kind, x_trial, hxm, bxm, ws), j)
+        ws.counts["backtracks"] += 1
     raise LineSearchStallError(
         f"no sufficient decrease within {opts.max_backtracks} backtracks"
     )
@@ -356,22 +354,22 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     """The one iteration loop, from the unit start ``x``.
 
     ``first_step(spec, cache, kind, opts, ev_1)`` returns the step rule
-    ``step(x, ev, tally, ws) -> (x+, ev+, alpha_k, backtracks)``, which
-    raises :class:`LineSearchStallError` when it finds no acceptable point.
-    The run is on the cache of ``v * 2**-e`` (the same spectra with
-    exponent 0), in one workspace, and its result is scaled back: lambda,
-    the residual and the trace by ``2**e``, trace steps by ``2**-e``, or,
-    when ``shift`` says they are the power iteration's shifts, in the
-    units of lambda, by ``2**e``.  Raises :class:`ResultOverflowError`
-    when lambda, the residual or a gradient norm does not fit a float64
-    once scaled.
+    ``step(x, ev, ws) -> (x+, ev+, alpha_k, backtracks)``, which counts its
+    trials and backtracks in ``ws.counts`` and raises
+    :class:`LineSearchStallError` when it finds no acceptable point.  The
+    run is on the cache of ``v * 2**-e`` (the same spectra with exponent
+    0), in one workspace, whose counts become its :class:`SolveStats`.
+    Its result is scaled back: lambda, the residual and the trace by
+    ``2**e``, trace steps by ``2**-e``, or, when ``shift`` says they are
+    the power iteration's shifts, in the units of lambda, by ``2**e``.
+    Raises :class:`ResultOverflowError` when lambda, the residual or a
+    gradient norm does not fit a float64 once scaled.
     """
     exponent = cache.exponent
     if exponent:
         cache = replace(cache, exponent=0)
     ws = _workspace(cache)
     ev = _evaluate(spec, cache, kind, x, ws)
-    tally = Counter(forward_transforms=1, inverse_transforms=1)
     step = first_step(spec, cache, kind, opts, ev)
     tol = opts.tol_rel * math.sqrt(spec.n)
     trace: list[IterationRecord] = []
@@ -386,7 +384,7 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
         if k > opts.max_iter:
             break
         try:
-            x_new, ev_new, alpha_k, backtracks = step(x, ev, tally, ws)
+            x_new, ev_new, alpha_k, backtracks = step(x, ev, ws)
         except LineSearchStallError:
             termination = Termination.LINESEARCH_STALL
             break
@@ -422,7 +420,7 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
             ) from None
     return EigenResult(eigenvalue=lam, x=x, residual=res, iterations=k - 1,
                        termination=termination, trace=trace, path=path,
-                       stats=SolveStats(**tally))
+                       stats=SolveStats(**ws.counts))
 
 
 def _search_rule(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
@@ -431,13 +429,13 @@ def _search_rule(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     Barzilai-Borwein trial step, ``alpha_1 / max(1, |f_1|)`` at first."""
     alpha_bar = opts.alpha_1 / max(1.0, abs(ev_1.f))
 
-    def step(x, ev, tally, ws):
+    def step(x, ev, ws):
         nonlocal alpha_bar
         alpha_k, x_new, ev_new, backtracks = curvilinear_search(
-            spec, cache, kind, x, ev, alpha_bar, opts, tally, ws)
+            spec, cache, kind, x, ev, alpha_bar, opts, ws)
         # the workspace is free until the next search
-        dx = np.subtract(x_new, x, out=ws[0].view(float)[: spec.n])
-        dg = np.subtract(ev_new.g, ev.g, out=ws[1].view(float)[: spec.n])
+        dx = np.subtract(x_new, x, out=ws.power.view(float)[: spec.n])
+        dg = np.subtract(ev_new.g, ev.g, out=ws.scratch.view(float)[: spec.n])
         alpha_bar = bb_initial_step(dx, dg, opts.alpha_max, fallback=alpha_bar,
                                     scale=max(1.0, abs(ev_new.f)))
         return x_new, ev_new, alpha_k, backtracks
@@ -530,7 +528,7 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
     # positive; it doubles whenever a step breaks monotonicity.
     shift = abs(ev_1.f) + 1.0
 
-    def step(x, ev, tally, ws):
+    def step(x, ev, ws):
         nonlocal shift
         for repairs in range(opts.max_backtracks + 1):
             if repairs:
@@ -542,13 +540,11 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
             if nu > 0.0:
                 x_new = u / nu
                 ev_new = _evaluate(spec, cache, kind, x_new, ws)
-                tally["forward_transforms"] += 1
-                tally["inverse_transforms"] += 1
-                tally["trials"] += 1
+                ws.counts["trials"] += 1
                 if sgn * (ev_new.f - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):
                     taken, shift = shift, max(shift, abs(ev_new.f) + 1.0)
                     return x_new, ev_new, taken, repairs
-            tally["backtracks"] += 1
+            ws.counts["backtracks"] += 1
         raise LineSearchStallError(
             f"no monotone step within {opts.max_backtracks} shift doublings")
 
@@ -579,12 +575,8 @@ def power_method_baseline(spec: HankelSpec, kind: BTensorKind,
             "action and supports only the shipped kinds"
         )
     cache = make_cache(spec)
-    best: EigenResult | None = None
-    sgn = _sign(opts.extreme)
-    for i in range(opts.starts):
-        res = _power_iteration(spec, cache, kind, opts,
-                               _start(spec.n, opts.seed + i))
-        if best is None or sgn * (res.eigenvalue - best.eigenvalue) > 0.0:
-            best = res
-    assert best is not None
-    return best
+    # the first of equal eigenvalues, as in multistart
+    pick = min if opts.extreme is Extreme.MIN else max
+    return pick((_power_iteration(spec, cache, kind, opts,
+                                  _start(spec.n, opts.seed + i))
+                 for i in range(opts.starts)), key=lambda r: r.eigenvalue)

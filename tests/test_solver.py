@@ -70,8 +70,9 @@ class TestCayleyStep:
     def test_huge_step_approaches_antipode(self):
         rng = np.random.default_rng(2)
         x, p = _tangent_pair(rng, 5)
-        out = cayley_step(x, p, 1e300, Extreme.MIN)
-        assert np.allclose(out, -x, atol=1e-10)
+        for alpha in (1e300, 1e308):
+            out = cayley_step(x, p, alpha, Extreme.MIN)
+            assert np.allclose(out, -x, atol=1e-10)
 
     @pytest.mark.parametrize("extreme", [Extreme.MIN, Extreme.MAX])
     def test_progress_identity_and_unit_norm(self, extreme):
@@ -88,8 +89,10 @@ class TestCayleyStep:
             assert float(p @ (out - x)) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            cayley_step(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, Extreme.MIN)
+        for alpha in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cayley_step(np.array([1.0, 0.0]), np.array([0.0, 1.0]), alpha,
+                            Extreme.MIN)
 
 
 class TestStepLength:
@@ -99,7 +102,8 @@ class TestStepLength:
     def test_antipodal_limit(self):
         x = np.array([1.0, 0.0])
         p = np.array([0.0, 1.0])
-        assert step_length(x, p, 1e200) == pytest.approx(2.0)
+        for alpha, scale in ((1e200, 1.0), (1e308, 1.0), (1e308, 2.0)):
+            assert step_length(x, scale * p, alpha) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("extreme", [Extreme.MIN, Extreme.MAX])
     def test_matches_direct_norm(self, extreme):
@@ -531,6 +535,22 @@ class TestSolveStats:
 
 class TestProductReuse:
     """Values built from stored spectra and products equal fresh ones."""
+
+    def test_b_xm_is_taken_once_per_point(self):
+        # the start and each trial point; an accepted trial reuses its value
+        calls = []
+
+        def xm(m, x):
+            calls.append(x)
+            return float(np.linalg.norm(x)) ** m
+
+        def xm1(m, x):
+            return float(np.linalg.norm(x)) ** (m - 2) * x
+
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        res = solve(spec, ReferenceProducts(xm, xm1), SolverOptions(seed=1))
+        assert res.iterations > 0
+        assert len(calls) == 1 + res.stats.trials
 
     @pytest.mark.parametrize("kind,extreme", [(Z, Extreme.MIN), (H, Extreme.MAX)])
     def test_trace_and_residual_match_fresh_evaluations(self, kind, extreme):
