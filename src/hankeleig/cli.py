@@ -41,6 +41,10 @@ __all__ = ["main"]
 _VECTOR_MAGIC = b"HNKV"
 _VECTOR_VERSION = 1
 _JSON_VECTOR_LIMIT = 10_000
+# The flags default to the library's options and choose among its enums.
+_DEFAULTS = SolverOptions()
+_BTENSOR_CHOICES = [k.value for k in BTensorKind]
+_EXTREME_CHOICES = [e.value for e in Extreme]
 
 
 class UsageError(Exception):
@@ -229,12 +233,10 @@ def _cmd_solve(args) -> int:
         "source": source,
         "btensor": args.btensor,
         "extreme": args.extreme,
-        "options": {
-            "eta": opts.eta, "beta": opts.beta, "alpha_max": opts.alpha_max,
-            "alpha_1": opts.alpha_1, "tol_rel": opts.tol_rel,
-            "max_iter": opts.max_iter, "max_backtracks": opts.max_backtracks,
-            "starts": opts.starts, "seed": opts.seed,
-        },
+        # extreme is a top-level key; keep_path is not a flag
+        "options": {f.name: getattr(opts, f.name)
+                    for f in dataclasses.fields(opts)
+                    if f.name not in ("extreme", "keep_path")},
         "timings": {"build_s": t1 - t0, "solve_s": t2 - t1},
         # totals over the starts that returned a result
         "counts": {
@@ -368,22 +370,23 @@ def _build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="compute an extremal eigenpair")
     _add_family_args(p_solve, with_input=True)
-    p_solve.add_argument("--btensor", choices=["z", "h"], required=True,
+    p_solve.add_argument("--btensor", choices=_BTENSOR_CHOICES, required=True,
                          help="reference tensor: z for Z-eigenpairs, h for "
                               "H-eigenpairs")
-    p_solve.add_argument("--extreme", choices=["min", "max"], required=True)
-    p_solve.add_argument("--starts", type=int, default=1,
+    p_solve.add_argument("--extreme", choices=_EXTREME_CHOICES, required=True)
+    p_solve.add_argument("--starts", type=int, default=_DEFAULTS.starts,
                          help="number of random starting points")
-    p_solve.add_argument("--eta", type=float, default=1e-3,
+    p_solve.add_argument("--eta", type=float, default=_DEFAULTS.eta,
                          help="sufficient-decrease constant")
-    p_solve.add_argument("--beta", type=float, default=0.5,
+    p_solve.add_argument("--beta", type=float, default=_DEFAULTS.beta,
                          help="backtracking factor")
-    p_solve.add_argument("--alpha-max", type=float, default=1e4,
-                         dest="alpha_max", help="step size cap")
-    p_solve.add_argument("--tol", type=float, default=1e-12,
+    p_solve.add_argument("--alpha-max", dest="alpha_max", type=float,
+                         default=_DEFAULTS.alpha_max, help="step size cap")
+    p_solve.add_argument("--tol", type=float, default=_DEFAULTS.tol_rel,
                          help="relative objective tolerance coefficient "
                               "(scaled by sqrt(n))")
-    p_solve.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
+    p_solve.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter,
+                         dest="max_iter")
     p_solve.add_argument("--out", metavar="PATH",
                          help="result JSON path (default: stdout)")
     p_solve.add_argument("--trace", metavar="PATH",
@@ -416,8 +419,8 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--family", choices=[f.value for f in Family],
                          default="random")
-    p_bench.add_argument("--btensor", choices=["z", "h"], default="z")
-    p_bench.add_argument("--extreme", choices=["min", "max"], default="min")
+    p_bench.add_argument("--btensor", choices=_BTENSOR_CHOICES, default="z")
+    p_bench.add_argument("--extreme", choices=_EXTREME_CHOICES, default="min")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", metavar="PATH",
                          help="CSV path (default: stdout)")

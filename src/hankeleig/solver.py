@@ -211,6 +211,11 @@ def _sign(extreme: Extreme) -> float:
     return -1.0 if extreme is Extreme.MIN else 1.0
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+
+
 def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
                 extreme: Extreme) -> np.ndarray:
     """Move along the sphere-preserving Cayley curve.
@@ -222,8 +227,7 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    _check_alpha(alpha)
     t = alpha * float(np.linalg.norm(p))
     u = t * t
     # (1 - u) / (1 + u) and 2 alpha / (1 + u) rewritten so huge
@@ -241,11 +245,12 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
 def step_length(x: np.ndarray, p: np.ndarray, alpha: float) -> float:
     """Distance ``||cayley_step(x, p, alpha) - x||``, in closed form.
 
-    Equals ``2 t / sqrt(1 + t^2)`` with ``t = alpha * ||p||``; the same for
-    both extreme variants.  ``x`` only fixes the geometry and does not enter
-    the value.
+    Equals ``2 t / sqrt(1 + t^2)`` with ``t = alpha * ||p||`` for a finite
+    positive ``alpha``; the same for both extreme variants.  ``x`` only
+    fixes the geometry and does not enter the value.
     """
     del x
+    _check_alpha(alpha)
     t = alpha * float(np.linalg.norm(np.asarray(p, dtype=float)))
     if t == math.inf:  # the antipodal limit, where inf / inf would be nan
         return 2.0
@@ -487,6 +492,12 @@ def _bin_eigenvalues(values: list[float],
             for g in groups]
 
 
+def _best(results, extreme: Extreme) -> EigenResult:
+    """The result with the extreme eigenvalue, the first of equal ones."""
+    pick = min if extreme is Extreme.MIN else max
+    return pick(results, key=lambda r: r.eigenvalue)
+
+
 def multistart(spec: HankelSpec, kind: ReferenceTensor,
                opts: SolverOptions) -> MultistartOutcome:
     """Run ``opts.starts`` independent solves from seeds ``seed + i``.
@@ -510,10 +521,7 @@ def multistart(spec: HankelSpec, kind: ReferenceTensor,
             raise
         except Exception as exc:  # noqa: BLE001 - reported per start
             failures.append((i, f"{type(exc).__name__}: {exc}"))
-    best: EigenResult | None = None
-    if results:
-        pick = min if opts.extreme is Extreme.MIN else max
-        best = pick(results, key=lambda r: r.eigenvalue)
+    best = _best(results, opts.extreme) if results else None
     bins = _bin_eigenvalues([r.eigenvalue for r in results])
     return MultistartOutcome(results=results, failures=failures, best=best,
                              bins=bins)
@@ -575,8 +583,6 @@ def power_method_baseline(spec: HankelSpec, kind: BTensorKind,
             "action and supports only the shipped kinds"
         )
     cache = make_cache(spec)
-    # the first of equal eigenvalues, as in multistart
-    pick = min if opts.extreme is Extreme.MIN else max
-    return pick((_power_iteration(spec, cache, kind, opts,
-                                  _start(spec.n, opts.seed + i))
-                 for i in range(opts.starts)), key=lambda r: r.eigenvalue)
+    return _best((_power_iteration(spec, cache, kind, opts,
+                                   _start(spec.n, opts.seed + i))
+                  for i in range(opts.starts)), opts.extreme)

@@ -89,10 +89,13 @@ class TestCayleyStep:
             assert float(p @ (out - x)) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_rejects_nonpositive_alpha(self):
-        for alpha in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                cayley_step(np.array([1.0, 0.0]), np.array([0.0, 1.0]), alpha,
-                            Extreme.MIN)
+        x, p = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                cayley_step(x, p, alpha, Extreme.MIN)
+            # the closed form refuses what the step refuses
+            with pytest.raises(ValueError, match="finite and positive"):
+                step_length(x, p, alpha)
 
 
 class TestStepLength:
@@ -435,6 +438,35 @@ class TestMultistart:
         assert len(out.results) == 3
         assert out.failures == [(1, "RuntimeError: synthetic failure")]
         assert out.best is not None
+
+    @pytest.mark.parametrize("extreme,values,first", [
+        (Extreme.MIN, [2.0, 1.0, 1.0, 3.0], 1),
+        (Extreme.MAX, [3.0, 1.0, 3.0, 0.0], 0),
+    ])
+    def test_best_is_the_first_of_equal_eigenvalues(self, monkeypatch,
+                                                    extreme, values, first):
+        # the multistart and the power baseline pick their best alike
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+
+        def fixed(i):
+            return EigenResult(eigenvalue=values[i], x=np.zeros(spec.n),
+                               residual=0.0, iterations=0,
+                               termination=Termination.CONVERGED)
+
+        monkeypatch.setattr(solver_mod, "solve",
+                            lambda spec_, kind_, opts_, **kw: fixed(opts_.seed))
+        out = multistart(spec, Z, SolverOptions(starts=4, extreme=extreme))
+        assert out.best is out.results[first]
+        picked = []
+
+        def power(spec_, cache_, kind_, opts_, x):
+            picked.append(fixed(len(picked)))
+            return picked[-1]
+
+        monkeypatch.setattr(solver_mod, "_power_iteration", power)
+        best = power_method_baseline(spec, Z,
+                                     SolverOptions(starts=4, extreme=extreme))
+        assert best is picked[first]
 
     def test_nonpositive_reference_is_filed_per_start(self):
         spec = generate(FamilySpec(Family.SIN, 4, 5))
