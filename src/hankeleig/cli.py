@@ -172,8 +172,6 @@ def _spec_from_file(args) -> tuple[HankelSpec, dict]:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {args.input}: {exc}") from exc
-    m = n = None
-    v = None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
@@ -434,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

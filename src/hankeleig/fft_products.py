@@ -92,20 +92,22 @@ class HankelSpec:
 class SpectralCache:
     """Reusable spectral data for one Hankel tensor: one half spectrum.
 
-    ``exponent`` is ``e`` with ``2**e`` the power of two nearest ``max|v|``
-    (0 for a zero ``v``).  ``vhat`` is ``rfft(v * 2**-e, size)``, the half
-    spectrum of the zero-padded normalised generating vector, so a vector
-    near overflow or underflow is transformed at unit scale.  Both products
-    read it: ``H x^{m-1}`` as a correlation, and ``H x^m`` as the dot
-    product of ``vhat`` with ``rfft(x, size)**m`` folded over the Hermitian
-    half spectrum.  Every product is scaled back by ``2**e``, which is
-    exact, so the products are those of ``v`` to the last bit.  The same
-    spectrum with ``exponent`` 0 is the cache of the normalised tensor,
-    which is what the solver works on.  All fields are immutable after
-    construction, so one cache may serve any number of concurrent product
-    calls.
+    ``spec`` is the tensor it was built from, held by reference; a
+    product refuses a cache of another tensor.  ``exponent`` is ``e`` with
+    ``2**e`` the power of two nearest ``max|v|`` (0 for a zero ``v``).
+    ``vhat`` is ``rfft(v * 2**-e, size)``, the half spectrum of the
+    zero-padded normalised generating vector, so a vector near overflow or
+    underflow is transformed at unit scale.  Both products read it:
+    ``H x^{m-1}`` as a correlation, and ``H x^m`` as the dot product of
+    ``vhat`` with ``rfft(x, size)**m`` folded over the Hermitian half
+    spectrum.  Every product is scaled back by ``2**e``, which is exact, so
+    the products are those of ``v`` to the last bit.  The same spectrum
+    with ``exponent`` 0 is the cache of the normalised tensor, which is
+    what the solver works on.  All fields are immutable after construction,
+    so one cache may serve any number of concurrent product calls.
     """
 
+    spec: HankelSpec
     size: int
     vhat: np.ndarray
     exponent: int
@@ -140,7 +142,7 @@ def make_cache(spec: HankelSpec) -> SpectralCache:
     if 0.0 < mant < math.sqrt(0.5):
         exponent -= 1  # 2**(exponent-1) is the nearer power by ratio
     vhat = np.fft.rfft(np.ldexp(spec.v, -exponent), n=size)
-    return SpectralCache(size=size, vhat=vhat, exponent=exponent)
+    return SpectralCache(spec=spec, size=size, vhat=vhat, exponent=exponent)
 
 
 def _power(a: np.ndarray, k: int) -> np.ndarray:
@@ -155,31 +157,37 @@ def _power(a: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class _Workspace:
-    """The transform buffers of one solver run, and the work done in them.
+    """The cache and buffers of one solver run, and the work done in them.
 
-    Every product of the run transforms into the two half spectra
-    ``power`` and ``scratch`` (``size//2 + 1`` complex entries each), so a
-    trial point allocates nothing the size of a spectrum.  ``counts`` is
-    keyed by the field names of :class:`~hankeleig.solver.SolveStats`: the
-    products count the transforms they run, the solver's step rules their
-    trials and backtracks.  Unlike the cache, a workspace belongs to one
-    caller at a time.
+    Every product of the run reads ``m``, ``n`` and the spectrum from
+    ``cache`` and transforms into the two half spectra ``power`` and
+    ``scratch`` (``size//2 + 1`` complex entries each), so a trial point
+    allocates nothing the size of a spectrum.  ``counts`` is keyed by the
+    field names of :class:`~hankeleig.solver.SolveStats`: the products
+    count the transforms they run, the solver's step rules their trials and
+    backtracks.  Unlike the cache, a workspace belongs to one caller at a
+    time.
     """
 
+    cache: SpectralCache
     power: np.ndarray
     scratch: np.ndarray
     counts: Counter
 
 
-def _workspace(cache: SpectralCache) -> _Workspace:
-    """A fresh :class:`_Workspace` for the transforms of ``cache``."""
+def _workspace(spec: HankelSpec, cache: SpectralCache) -> _Workspace:
+    """A fresh :class:`_Workspace` for the products of ``spec`` from
+    ``cache``: the one check that ``cache`` was built for ``spec`` or for
+    an equal tensor (same ``m`` and ``v``, whose length fixes ``n``)."""
+    own = cache.spec
+    if own is not spec and not (own.m == spec.m and np.array_equal(own.v, spec.v)):
+        raise ValueError("the spectral cache was built for another tensor")
     half = cache.size // 2 + 1
-    return _Workspace(np.empty(half, dtype=complex),
+    return _Workspace(cache, np.empty(half, dtype=complex),
                       np.empty(half, dtype=complex), Counter())
 
 
-def _xm_and_power(cache: SpectralCache, spec: HankelSpec, x: np.ndarray,
-                  ws: _Workspace) -> float:
+def _xm_and_power(ws: _Workspace, x: np.ndarray) -> float:
     """One forward transform: ``H x^m``, leaving ``rfft(x, size)**(m-1)``
     in ``ws.power``.
 
@@ -188,16 +196,17 @@ def _xm_and_power(cache: SpectralCache, spec: HankelSpec, x: np.ndarray,
     inverse transform, so a caller that may need both products transforms
     ``x`` once.  It stays valid until ``ws`` is used again.
     """
+    cache = ws.cache
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != spec.n:
-        raise ValueError(f"x must have length n = {spec.n}, got {x.size}")
+    if x.size != cache.spec.n:
+        raise ValueError(f"x must have length n = {cache.spec.n}, got {x.size}")
     p, z = ws.power, ws.scratch
     # rfft pads x with zeros to ``size`` itself
     np.fft.rfft(x, n=cache.size, out=z)
     ws.counts["forward_transforms"] += 1
     # the products of _power(z, m - 1), in its order
     np.copyto(p, z)
-    for _ in range(spec.m - 2):
+    for _ in range(cache.spec.m - 2):
         p *= z
     # ``p * z``, not ``z * p``: complex multiplication is not bitwise
     # commutative, and ``p * z`` is the loop's next step, so ``H x^m`` is
@@ -215,16 +224,15 @@ def _xm_and_power(cache: SpectralCache, spec: HankelSpec, x: np.ndarray,
     return hxm
 
 
-def _xm1_from_power(cache: SpectralCache, spec: HankelSpec,
-                    ws: _Workspace) -> np.ndarray:
+def _xm1_from_power(ws: _Workspace) -> np.ndarray:
     """``H x^{m-1}`` from the ``ws.power`` of :func:`_xm_and_power`, which
     it consumes (one inverse transform, into ``ws.scratch``)."""
-    p = ws.power
+    cache, p = ws.cache, ws.power
     np.conjugate(p, out=p)
     p *= cache.vhat
     signal = np.fft.irfft(p, cache.size, out=ws.scratch.view(float)[: cache.size])
     ws.counts["inverse_transforms"] += 1
-    hxm1 = signal[: spec.n].copy()
+    hxm1 = signal[: cache.spec.n].copy()
     if cache.exponent:
         np.ldexp(hxm1, cache.exponent, out=hxm1)
     return hxm1
@@ -236,7 +244,7 @@ def hankel_xm(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> float:
     Equals the dense contraction of the materialised tensor with ``m``
     copies of ``x``.
     """
-    return _xm_and_power(cache, spec, x, _workspace(cache))
+    return _xm_and_power(_workspace(spec, cache), x)
 
 
 def hankel_xm1(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> np.ndarray:
@@ -246,6 +254,6 @@ def hankel_xm1(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> np.ndar
     ``(m-1)``-fold self-convolution of ``x``; satisfies
     ``x @ hankel_xm1(...) == hankel_xm(...)`` up to roundoff.
     """
-    ws = _workspace(cache)
-    _xm_and_power(cache, spec, x, ws)
-    return _xm1_from_power(cache, spec, ws)
+    ws = _workspace(spec, cache)
+    _xm_and_power(ws, x)
+    return _xm1_from_power(ws)

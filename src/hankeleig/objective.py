@@ -83,7 +83,9 @@ def b_xm(kind: ReferenceTensor, m: int, x: np.ndarray) -> float:
         return float(kind.xm(m, x))
     if kind is BTensorKind.Z_IDENTITY:
         return float(np.linalg.norm(x)) ** m
-    return float(np.sum(_power(x, m)))
+    if kind is BTensorKind.H_IDENTITY:
+        return float(np.sum(_power(x, m)))
+    raise TypeError(f"unknown reference tensor {kind!r}")
 
 
 def b_xm1(kind: ReferenceTensor, m: int, x: np.ndarray) -> np.ndarray:
@@ -94,7 +96,9 @@ def b_xm1(kind: ReferenceTensor, m: int, x: np.ndarray) -> np.ndarray:
     if kind is BTensorKind.Z_IDENTITY:
         # ||x||^0 == 1 covers m == 2 even at the x == 0 boundary.
         return float(np.linalg.norm(x)) ** (m - 2) * x
-    return _power(x, m - 1)
+    if kind is BTensorKind.H_IDENTITY:
+        return _power(x, m - 1)
+    raise TypeError(f"unknown reference tensor {kind!r}")
 
 
 def b_xm2(kind: BTensorKind, m: int, x: np.ndarray) -> np.ndarray:
@@ -102,21 +106,19 @@ def b_xm2(kind: BTensorKind, m: int, x: np.ndarray) -> np.ndarray:
     divided by ``m*(m-1)``.  Used by the dense Hessian.
 
     Only the two shipped reference tensors carry this product; the
-    :class:`ReferenceProducts` extension point does not.
+    :class:`ReferenceProducts` extension point does not (``TypeError``).
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    if isinstance(kind, ReferenceProducts):
-        raise TypeError(
-            "custom reference tensors supply only the xm and xm1 products"
-        )
     if kind is BTensorKind.Z_IDENTITY:
         if m == 2:
             return np.eye(n)
         nrm = float(np.linalg.norm(x))
         return ((m - 2) * nrm ** (m - 4) * np.outer(x, x)
                 + nrm ** (m - 2) * np.eye(n)) / (m - 1)
-    return np.diag(x ** (m - 2))
+    if kind is BTensorKind.H_IDENTITY:
+        return np.diag(x ** (m - 2))
+    raise TypeError(f"B x^(m-2) needs a shipped reference tensor, got {kind!r}")
 
 
 def _require_unit(x: np.ndarray) -> np.ndarray:
@@ -137,27 +139,26 @@ def evaluate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     inverse transform: both Hankel products come from one spectrum of
     ``x``.
     """
-    return _evaluate(spec, cache, kind, _require_unit(x), _workspace(cache))
+    return _evaluate(kind, _require_unit(x), _workspace(spec, cache))
 
 
-def _evaluate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
-              x: np.ndarray, ws: _Workspace) -> ObjectiveEval:
+def _evaluate(kind: ReferenceTensor, x: np.ndarray, ws: _Workspace) -> ObjectiveEval:
     """:func:`evaluate` at a unit ``x``: :func:`_gradient` of
     :func:`_quotient`, in the workspace ``ws``."""
-    _, hxm, bxm = _quotient(spec, cache, kind, x, ws)
-    return _gradient(spec, cache, kind, x, hxm, bxm, ws)
+    _, hxm, bxm = _quotient(kind, x, ws)
+    return _gradient(kind, x, hxm, bxm, ws)
 
 
-def _quotient(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
-              x: np.ndarray, ws: _Workspace) -> tuple[float, float, float]:
+def _quotient(kind: ReferenceTensor, x: np.ndarray,
+              ws: _Workspace) -> tuple[float, float, float]:
     """``(f, H x^m, B x^m)`` at a unit ``x``, from one forward transform.
 
     The transform leaves the spectrum of ``x^{m-1}`` in ``ws`` for
     :func:`_gradient`.  Raises :class:`InvalidReferenceTensorError` unless
     ``B x^m > 0``.
     """
-    hxm = _xm_and_power(cache, spec, x, ws)
-    bxm = b_xm(kind, spec.m, x)
+    hxm = _xm_and_power(ws, x)
+    bxm = b_xm(kind, ws.cache.spec.m, x)
     if bxm <= 0.0:
         raise InvalidReferenceTensorError(
             f"B x^m = {bxm!r} is not positive; the reference tensor is not "
@@ -166,19 +167,18 @@ def _quotient(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     return hxm / bxm, hxm, bxm
 
 
-def _gradient(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
-              x: np.ndarray, hxm: float, bxm: float,
+def _gradient(kind: ReferenceTensor, x: np.ndarray, hxm: float, bxm: float,
               ws: _Workspace) -> ObjectiveEval:
     """The :class:`ObjectiveEval` at the ``x`` of the last :func:`_quotient`
     in ``ws``, from one inverse transform.  The gradient is built in place,
     with its one temporary in ``ws``."""
-    hxm1 = _xm1_from_power(cache, spec, ws)
-    bxm1 = b_xm1(kind, spec.m, x)
+    hxm1 = _xm1_from_power(ws)
+    bxm1 = b_xm1(kind, ws.cache.spec.m, x)
     f = hxm / bxm
     # g = (m / bxm) * (hxm1 - f * bxm1), built in place
     g = f * bxm1
     np.subtract(hxm1, g, out=g)
-    g *= spec.m / bxm
+    g *= ws.cache.spec.m / bxm
     # The formula is tangent in exact arithmetic; subtracting the normal
     # component removes roundoff that would otherwise dwarf the gradient
     # once the iterate approaches an eigenvector.

@@ -132,6 +132,10 @@ class SolverOptions:
             raise ValueError("max_backtracks must be nonnegative")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not isinstance(self.extreme, Extreme):
+            raise ValueError(f"extreme must be an Extreme, got {self.extreme!r}")
 
 
 @dataclass(frozen=True)
@@ -286,18 +290,18 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
     the mirrored inequality for MAX).  Returns ``(alpha, x+, eval+, j)``.
     A trial is the quotient of one forward transform; only the accepted
     one adds the inverse transform of ``eval+``, so ``B x^m`` is taken once
-    per trial.  The transforms run in ``workspace``, from
-    :func:`~hankeleig.fft_products._workspace` (a fresh one if it is not
-    given), which is free again on return and counts the trials,
-    backtracks and transforms; :func:`solve` passes one workspace to every
-    search of a run.
+    per trial.  The transforms run in ``workspace``, which carries the
+    cache, from :func:`~hankeleig.fft_products._workspace` (a fresh one of
+    ``spec`` and ``cache`` if it is not given); it is free again on return
+    and counts the trials, backtracks and transforms.  :func:`solve` passes
+    one workspace to every search of a run.
 
     Raises :class:`LineSearchStallError` after ``max_backtracks`` rejected
     trials; that signals the decrease has fallen below rounding resolution.
     """
     if not 0.0 < alpha_bar <= opts.alpha_max:
         raise ValueError(f"alpha_bar must lie in (0, alpha_max], got {alpha_bar}")
-    ws = _workspace(cache) if workspace is None else workspace
+    ws = _workspace(spec, cache) if workspace is None else workspace
     sgn = _sign(opts.extreme)
     f_k = eval_k.f
     gnorm2 = float(eval_k.g @ eval_k.g)
@@ -305,12 +309,11 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
         alpha = alpha_bar * opts.beta ** j
         x_trial = cayley_step(x_k, eval_k.g, alpha, opts.extreme)
         ws.counts["trials"] += 1
-        f_trial, hxm, bxm = _quotient(spec, cache, kind, x_trial, ws)
+        f_trial, hxm, bxm = _quotient(kind, x_trial, ws)
         # Strict inequality keeps the trace strictly monotone even when the
         # required decrease rounds to nothing.
         if sgn * (f_trial - f_k) >= opts.eta * alpha * gnorm2 and f_trial != f_k:
-            return (alpha, x_trial,
-                    _gradient(spec, cache, kind, x_trial, hxm, bxm, ws), j)
+            return alpha, x_trial, _gradient(kind, x_trial, hxm, bxm, ws), j
         ws.counts["backtracks"] += 1
     raise LineSearchStallError(
         f"no sufficient decrease within {opts.max_backtracks} backtracks"
@@ -373,8 +376,8 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     exponent = cache.exponent
     if exponent:
         cache = replace(cache, exponent=0)
-    ws = _workspace(cache)
-    ev = _evaluate(spec, cache, kind, x, ws)
+    ws = _workspace(spec, cache)
+    ev = _evaluate(kind, x, ws)
     step = first_step(spec, cache, kind, opts, ev)
     tol = opts.tol_rel * math.sqrt(spec.n)
     trace: list[IterationRecord] = []
@@ -458,7 +461,8 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
     visited iterate; the eigenvalue column is strictly monotone in the
     direction of ``opts.extreme``.  ``cache`` defaults to
     ``make_cache(spec)``; pass one to share it between runs on the same
-    tensor.  The run works on the normalised tensor of the cache; raises
+    tensor (a cache built for another tensor raises ``ValueError``).  The
+    run works on the normalised tensor of the cache; raises
     :class:`ResultOverflowError` if its result does not fit a float64 in
     the units of ``v``.
     """
@@ -547,7 +551,7 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
             nu = float(np.linalg.norm(u))
             if nu > 0.0:
                 x_new = u / nu
-                ev_new = _evaluate(spec, cache, kind, x_new, ws)
+                ev_new = _evaluate(kind, x_new, ws)
                 ws.counts["trials"] += 1
                 if sgn * (ev_new.f - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):
                     taken, shift = shift, max(shift, abs(ev_new.f) + 1.0)

@@ -241,6 +241,28 @@ def test_solve_rejects_non_finite_options(capsys, tmp_path, flag, value, name):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solve_rejects_negative_seed(capsys):
+    code, _, err = run(capsys, "solve", "--family", "sin", "--order", "4",
+                       "--dim", "5", "--btensor", "z", "--extreme", "min",
+                       "--seed", "-1", "--starts", "2")
+    assert code == 1
+    assert "seed" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--btensor", "z", "--extreme", "min"],
+    ["gen"],
+])
+def test_unwritable_out_path_is_an_error(capsys, tmp_path, command):
+    out = tmp_path / "missing" / "r.json"
+    code, _, err = run(capsys, *command, "--family", "sin", "--order", "4",
+                       "--dim", "5", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_solve_rejects_odd_order(capsys):
     code, _, err = run(capsys, "solve", "--family", "sin", "--order", "3",
                        "--dim", "4", "--btensor", "z", "--extreme", "min")

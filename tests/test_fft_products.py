@@ -220,15 +220,15 @@ def test_products_in_a_workspace_allocate_no_spectrum():
     spec = HankelSpec(m=m, n=n, v=rng.standard_normal(m * (n - 1) + 1))
     cache = make_cache(spec)
     x = rng.standard_normal(n)
-    ws = _workspace(cache)
+    ws = _workspace(spec, cache)
     want = hankel_xm1(cache, spec, x)
-    _xm_and_power(cache, spec, x, ws)
-    _xm1_from_power(cache, spec, ws)
+    _xm_and_power(ws, x)
+    _xm1_from_power(ws)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        hxm = _xm_and_power(cache, spec, x, ws)
-        hxm1 = _xm1_from_power(cache, spec, ws)
+        hxm = _xm_and_power(ws, x)
+        hxm1 = _xm1_from_power(ws)
         allocated = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -177,3 +177,13 @@ def test_rejects_nonpositive_reference_and_nonunit_x():
         evaluate(spec, cache, Z, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="unit vector"):
         residual(spec, cache, Z, np.array([1.0, 1.0]), 0.0)
+
+
+def test_unknown_reference_kind_raises():
+    # the string "z" is not BTensorKind.Z_IDENTITY, and is not read as H
+    x = np.array([0.6, 0.8, 0.0])
+    for product in (b_xm, b_xm1, b_xm2):
+        with pytest.raises(TypeError, match="'z'"):
+            product("z", 4, x)
+    with pytest.raises(TypeError, match="'z'"):
+        solve(generate(FamilySpec(Family.SIN, 4, 5)), "z", SolverOptions(seed=1))

@@ -177,10 +177,66 @@ class TestSolverOptions:
         dict(starts=0), dict(tol_rel=0.0), dict(max_backtracks=-1),
         dict(tol_rel=math.nan), dict(tol_rel=math.inf),
         dict(alpha_max=math.nan), dict(alpha_max=math.inf),
+        dict(seed=-1), dict(extreme="min"),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
+
+
+class TestCacheBelongsToItsTensor:
+    """A spectral cache serves its own tensor, or an equal one, and no
+    other: every public entry that takes a tensor and a cache checks the
+    pair."""
+
+    # same shape, another shape, and the same v read at another order
+    OTHERS = [
+        generate(FamilySpec(Family.HILBERT, 4, 5)),
+        generate(FamilySpec(Family.SIN, 4, 6)),
+        HankelSpec(m=2, n=9, v=np.sin(4.0 + np.arange(17.0))),
+    ]
+
+    def _setup(self):
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        x = random_unit(np.random.default_rng(3), spec.n)
+        return spec, x, evaluate(spec, make_cache(spec), Z, x)
+
+    def test_cache_records_its_tensor(self):
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        cache = make_cache(spec)
+        assert cache.spec is spec
+        assert replace(cache, exponent=0).spec is spec
+
+    @pytest.mark.parametrize("other", OTHERS)
+    def test_cache_of_another_tensor_raises(self, other):
+        spec, x, ev = self._setup()
+        wrong = make_cache(other)
+        opts = SolverOptions(seed=1)
+        calls = [
+            lambda: solve(spec, Z, opts, cache=wrong),
+            lambda: hankel_xm(wrong, spec, x),
+            lambda: hankel_xm1(wrong, spec, x),
+            lambda: evaluate(spec, wrong, Z, x),
+            lambda: residual(spec, wrong, Z, x, ev.f),
+            lambda: curvilinear_search(spec, wrong, Z, x, ev, 1e-3, opts),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="another tensor"):
+                call()
+
+    def test_equal_tensor_solves_bitwise_alike(self):
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        copy = replace(spec)
+        assert copy is not spec and copy.v is not spec.v
+        opts = SolverOptions(seed=1, keep_path=True)
+        own = solve(spec, Z, opts, cache=make_cache(spec))
+        shared = solve(copy, Z, opts, cache=make_cache(spec))
+        assert shared.eigenvalue == own.eigenvalue
+        assert np.array_equal(shared.x, own.x)
+        assert shared.residual == own.residual
+        assert shared.trace == own.trace and shared.stats == own.stats
+        assert all(np.array_equal(a, b) for a, b in zip(shared.path, own.path))
+        assert len(shared.path) == len(own.path)
 
 
 class TestSolve:
