@@ -85,7 +85,10 @@ def _json_text(obj) -> str:
 def _atomic_write(path: str, data: str | bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hankeleig-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hankeleig-")
+    except OSError as exc:  # named by the path given, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, mode) as fh:
             fh.write(data)

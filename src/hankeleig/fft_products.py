@@ -155,6 +155,12 @@ def _power(a: np.ndarray, k: int) -> np.ndarray:
     return p
 
 
+def _norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` to the last bit, without its overhead."""
+    v = v.ravel(order="K")  # numpy's default norm: sqrt(dot) of the ravel
+    return math.sqrt(v.dot(v))
+
+
 @dataclass(frozen=True, slots=True)
 class _Workspace:
     """The cache and buffers of one solver run, and the work done in them.
@@ -187,9 +193,17 @@ def _workspace(spec: HankelSpec, cache: SpectralCache) -> _Workspace:
                       np.empty(half, dtype=complex), Counter())
 
 
+def _vector(x, n: int) -> np.ndarray:
+    """``x`` as a 1-D float array, refused unless its length is ``n``."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != n:
+        raise ValueError(f"x must have length n = {n}, got {x.size}")
+    return x
+
+
 def _xm_and_power(ws: _Workspace, x: np.ndarray) -> float:
-    """One forward transform: ``H x^m``, leaving ``rfft(x, size)**(m-1)``
-    in ``ws.power``.
+    """One forward transform: ``H x^m`` of a :func:`_vector` ``x``, leaving
+    ``rfft(x, size)**(m-1)`` in ``ws.power``.
 
     That power is the spectrum of the ``(m-1)``-fold self-convolution of
     ``x``; :func:`_xm1_from_power` turns it into ``H x^{m-1}`` with one
@@ -197,9 +211,6 @@ def _xm_and_power(ws: _Workspace, x: np.ndarray) -> float:
     ``x`` once.  It stays valid until ``ws`` is used again.
     """
     cache = ws.cache
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != cache.spec.n:
-        raise ValueError(f"x must have length n = {cache.spec.n}, got {x.size}")
     p, z = ws.power, ws.scratch
     # rfft pads x with zeros to ``size`` itself
     np.fft.rfft(x, n=cache.size, out=z)
@@ -244,7 +255,7 @@ def hankel_xm(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> float:
     Equals the dense contraction of the materialised tensor with ``m``
     copies of ``x``.
     """
-    return _xm_and_power(_workspace(spec, cache), x)
+    return _xm_and_power(_workspace(spec, cache), _vector(x, spec.n))
 
 
 def hankel_xm1(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> np.ndarray:
@@ -255,5 +266,5 @@ def hankel_xm1(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> np.ndar
     ``x @ hankel_xm1(...) == hankel_xm(...)`` up to roundoff.
     """
     ws = _workspace(spec, cache)
-    _xm_and_power(ws, x)
+    _xm_and_power(ws, _vector(x, spec.n))
     return _xm1_from_power(ws)

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fft_products import (HankelSpec, SpectralCache, _power, _workspace,
-                           _Workspace, _xm1_from_power, _xm_and_power,
-                           hankel_xm1)
+from .fft_products import (HankelSpec, SpectralCache, _norm, _power,
+                           _vector, _workspace, _Workspace, _xm1_from_power,
+                           _xm_and_power, hankel_xm1)
 
 __all__ = [
     "BTensorKind",
@@ -82,7 +82,7 @@ def b_xm(kind: ReferenceTensor, m: int, x: np.ndarray) -> float:
     if isinstance(kind, ReferenceProducts):
         return float(kind.xm(m, x))
     if kind is BTensorKind.Z_IDENTITY:
-        return float(np.linalg.norm(x)) ** m
+        return _norm(x) ** m
     if kind is BTensorKind.H_IDENTITY:
         return float(np.sum(_power(x, m)))
     raise TypeError(f"unknown reference tensor {kind!r}")
@@ -95,7 +95,7 @@ def b_xm1(kind: ReferenceTensor, m: int, x: np.ndarray) -> np.ndarray:
         return np.asarray(kind.xm1(m, x), dtype=float)
     if kind is BTensorKind.Z_IDENTITY:
         # ||x||^0 == 1 covers m == 2 even at the x == 0 boundary.
-        return float(np.linalg.norm(x)) ** (m - 2) * x
+        return _norm(x) ** (m - 2) * x
     if kind is BTensorKind.H_IDENTITY:
         return _power(x, m - 1)
     raise TypeError(f"unknown reference tensor {kind!r}")
@@ -113,7 +113,7 @@ def b_xm2(kind: BTensorKind, m: int, x: np.ndarray) -> np.ndarray:
     if kind is BTensorKind.Z_IDENTITY:
         if m == 2:
             return np.eye(n)
-        nrm = float(np.linalg.norm(x))
+        nrm = _norm(x)
         return ((m - 2) * nrm ** (m - 4) * np.outer(x, x)
                 + nrm ** (m - 2) * np.eye(n)) / (m - 1)
     if kind is BTensorKind.H_IDENTITY:
@@ -121,9 +121,9 @@ def b_xm2(kind: BTensorKind, m: int, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"B x^(m-2) needs a shipped reference tensor, got {kind!r}")
 
 
-def _require_unit(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    nrm = float(np.linalg.norm(x))
+def _require_unit(x: np.ndarray, n: int) -> np.ndarray:
+    x = _vector(x, n)
+    nrm = _norm(x)
     if abs(nrm - 1.0) > _UNIT_TOL:
         raise ValueError(f"expected a unit vector, got norm {nrm!r}")
     return x
@@ -139,7 +139,7 @@ def evaluate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     inverse transform: both Hankel products come from one spectrum of
     ``x``.
     """
-    return _evaluate(kind, _require_unit(x), _workspace(spec, cache))
+    return _evaluate(kind, _require_unit(x, spec.n), _workspace(spec, cache))
 
 
 def _evaluate(kind: ReferenceTensor, x: np.ndarray, ws: _Workspace) -> ObjectiveEval:
@@ -195,7 +195,7 @@ def residual(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     :class:`ObjectiveEval`'s product fields), so a small gradient certifies
     a small residual.
     """
-    x = _require_unit(x)
+    x = _require_unit(x, spec.n)
     hxm1 = hankel_xm1(cache, spec, x)
     bxm1 = b_xm1(kind, spec.m, x)
-    return float(np.linalg.norm(hxm1 - lam * bxm1))
+    return _norm(hxm1 - lam * bxm1)

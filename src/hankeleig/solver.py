@@ -26,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .fft_products import (HankelSpec, SpectralCache, _workspace, _Workspace,
-                           make_cache)
+from .fft_products import (HankelSpec, SpectralCache, _norm, _vector,
+                           _workspace, _Workspace, make_cache)
 from .objective import (BTensorKind, ObjectiveEval, ReferenceTensor,
                         _evaluate, _gradient, _quotient)
 
@@ -138,7 +138,7 @@ class SolverOptions:
             raise ValueError(f"extreme must be an Extreme, got {self.extreme!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """One trace row.
 
@@ -178,7 +178,7 @@ class SolveStats:
     backtracks: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class EigenResult:
     """Outcome of one solver run."""
 
@@ -232,7 +232,7 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     _check_alpha(alpha)
-    t = alpha * float(np.linalg.norm(p))
+    t = alpha * _norm(p)
     u = t * t
     # (1 - u) / (1 + u) and 2 alpha / (1 + u) rewritten so huge
     # alpha*||p|| degrades to the antipode instead of overflowing to nan;
@@ -240,7 +240,7 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
     cx = 2.0 / (1.0 + u) - 1.0
     cp = 2.0 * (alpha / (1.0 + u))
     out = cx * x + _sign(extreme) * cp * p
-    nrm = float(np.linalg.norm(out))
+    nrm = _norm(out)
     if abs(nrm - 1.0) > 1e-14 and nrm > 0.0:
         out = out / nrm
     return out
@@ -255,7 +255,7 @@ def step_length(x: np.ndarray, p: np.ndarray, alpha: float) -> float:
     """
     del x
     _check_alpha(alpha)
-    t = alpha * float(np.linalg.norm(np.asarray(p, dtype=float)))
+    t = alpha * _norm(np.asarray(p, dtype=float))
     if t == math.inf:  # the antipodal limit, where inf / inf would be nan
         return 2.0
     return 2.0 * (t / math.hypot(1.0, t))
@@ -271,10 +271,10 @@ def bb_initial_step(dx: np.ndarray, dp: np.ndarray, alpha_max: float,
     difference carries the previous trial step forward via ``fallback``
     (``alpha_max`` if no fallback is supplied).
     """
-    ndp = float(np.linalg.norm(np.asarray(dp, dtype=float)))
+    ndp = _norm(np.asarray(dp, dtype=float))
     if ndp == 0.0:
         return fallback if fallback is not None else alpha_max
-    ratio = float(np.linalg.norm(np.asarray(dx, dtype=float))) / ndp
+    ratio = _norm(np.asarray(dx, dtype=float)) / ndp
     return min(max(ratio, _BB_FLOOR / scale), alpha_max)
 
 
@@ -302,6 +302,7 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
     if not 0.0 < alpha_bar <= opts.alpha_max:
         raise ValueError(f"alpha_bar must lie in (0, alpha_max], got {alpha_bar}")
     ws = _workspace(spec, cache) if workspace is None else workspace
+    x_k = _vector(x_k, spec.n)
     sgn = _sign(opts.extreme)
     f_k = eval_k.f
     gnorm2 = float(eval_k.g @ eval_k.g)
@@ -337,7 +338,7 @@ def _start(n: int, seed: int, x_1=None) -> np.ndarray:
     if top == 0.0:
         raise ValueError("x_1 must be nonzero")
     x = np.ldexp(x, -math.frexp(top)[1])
-    return x / float(np.linalg.norm(x))
+    return x / _norm(x)
 
 
 def _require_even(spec: HankelSpec) -> None:
@@ -385,7 +386,7 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     termination = Termination.MAX_ITER
     k = 1
     while True:
-        gnorm = float(np.linalg.norm(ev.g))
+        gnorm = _norm(ev.g)
         if gnorm <= _ZERO_GRAD_FLOOR * max(1.0, abs(ev.f)):
             termination = Termination.ZERO_GRADIENT
             break
@@ -407,11 +408,11 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
             termination = Termination.CONVERGED
             break
     trace.append(IterationRecord(k=k, lambda_k=ev.f,
-                                 grad_norm=float(np.linalg.norm(ev.g)),
+                                 grad_norm=_norm(ev.g),
                                  alpha_k=0.0, backtracks=0))
     lam = ev.f
     # ||H x^{m-1} - f B x^{m-1}|| from the products ev holds
-    res = float(np.linalg.norm(ev.hxm1 - ev.f * ev.bxm1))
+    res = _norm(ev.hxm1 - ev.f * ev.bxm1)
     if exponent:
         step_exponent = exponent if shift else -exponent
         try:
@@ -509,8 +510,8 @@ def multistart(spec: HankelSpec, kind: ReferenceTensor,
     The starts run one after another, in start order, on one shared
     spectral cache, so the outcome is deterministic for a given seed.
     Per-start failures are collected instead of aborting the sweep, except
-    :class:`ResultOverflowError`: a tensor whose eigenvalues do not fit a
-    float64 is an input error.
+    input errors: :class:`ResultOverflowError` (eigenvalues that do not fit
+    a float64) and ``TypeError`` (an unknown reference tensor).
     """
     _require_even(spec)
     cache = make_cache(spec)
@@ -521,7 +522,7 @@ def multistart(spec: HankelSpec, kind: ReferenceTensor,
             results.append(solve(spec, kind,
                                  replace(opts, seed=opts.seed + i, starts=1),
                                  cache=cache))
-        except ResultOverflowError:
+        except (ResultOverflowError, TypeError):
             raise
         except Exception as exc:  # noqa: BLE001 - reported per start
             failures.append((i, f"{type(exc).__name__}: {exc}"))
@@ -548,7 +549,7 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
             u = sgn * ev.hxm1 + shift * ev.bxm1
             if kind is not BTensorKind.Z_IDENTITY:
                 u = np.sign(u) * np.abs(u) ** root
-            nu = float(np.linalg.norm(u))
+            nu = _norm(u)
             if nu > 0.0:
                 x_new = u / nu
                 ev_new = _evaluate(kind, x_new, ws)

@@ -260,6 +260,7 @@ def test_unwritable_out_path_is_an_error(capsys, tmp_path, command):
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert str(out) in err and ".hankeleig-" not in err
     assert not out.parent.exists()
 
 

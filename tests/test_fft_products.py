@@ -13,6 +13,8 @@ from hankeleig.dense_oracle import dense_xm, dense_xm1, materialize
 from hankeleig.fft_products import (HankelSpec, _fast_len, _workspace,
                                     _xm1_from_power, _xm_and_power, hankel_xm,
                                     hankel_xm1, make_cache)
+from hankeleig.objective import BTensorKind, evaluate
+from hankeleig.solver import SolverOptions, curvilinear_search
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -187,6 +189,20 @@ def test_x_length_checked():
     cache = make_cache(spec)
     with pytest.raises(ValueError, match="length n = 2"):
         hankel_xm(cache, spec, [1.0, 2.0, 3.0])
+    # Every public entry checks its vector; the kernel below them does not.
+    # A length-1 x_k would broadcast against a length-2 gradient.
+    z = BTensorKind.Z_IDENTITY
+    ev = evaluate(spec, cache, z, [0.6, 0.8])
+    entries = [
+        lambda x: hankel_xm1(cache, spec, x),
+        lambda x: evaluate(spec, cache, z, x),
+        lambda x: curvilinear_search(spec, cache, z, x, ev, 0.5,
+                                     SolverOptions()),
+    ]
+    for entry in entries:
+        for x in ([1.0], [1.0 / 3, 2.0 / 3, 2.0 / 3]):
+            with pytest.raises(ValueError, match="length n = 2"):
+                entry(x)
 
 
 def test_product_time_scales_like_n_log_n():

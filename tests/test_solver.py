@@ -573,6 +573,11 @@ class TestMultistart:
         assert scaled.bins == [replace(b, eigenvalue=math.ldexp(b.eigenvalue, k))
                                for b in base.bins]
 
+    def test_unknown_reference_tensor_is_raised(self):
+        # the caller's error, not a failure of each start
+        with pytest.raises(TypeError, match="unknown reference tensor"):
+            multistart(_sine(), "z", SolverOptions(starts=3))
+
     def test_odd_order_raises_before_building_a_cache(self, monkeypatch):
         builds = []
         monkeypatch.setattr(solver_mod, "make_cache", builds.append)
@@ -580,6 +585,14 @@ class TestMultistart:
             multistart(HankelSpec(m=3, n=4, v=np.ones(10)), Z,
                        SolverOptions(starts=3))
         assert builds == []
+
+
+def test_results_and_trace_rows_are_slotted():
+    # a run keeps one trace row per iteration, a multistart one result per
+    # start: no per-instance __dict__ on either
+    res = solve(_sine(), Z, SolverOptions(seed=1))
+    assert not hasattr(res, "__dict__")
+    assert not hasattr(res.trace[0], "__dict__")
 
 
 class TestSolveStats:
