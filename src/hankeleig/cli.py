@@ -66,18 +66,10 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _json_default(o):
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, np.integer):
-        return int(o)
-    raise TypeError(f"cannot serialise {type(o).__name__}")
-
-
 def _json_text(obj) -> str:
     # floats in their shortest round-trip form, as _format_float writes them
     try:
-        return json.dumps(obj, allow_nan=False, default=_json_default)
+        return json.dumps(obj, allow_nan=False)
     except ValueError as exc:
         raise ValueError(f"cannot serialise a non-finite float: {exc}") from None
 
@@ -182,7 +174,7 @@ def _spec_from_file(args) -> tuple[HankelSpec, dict]:
     if isinstance(payload, dict):
         m, n, v = payload.get("m"), payload.get("n"), payload.get("v")
         # JSON integers only: int() would truncate 4.5, and a bool is an int
-        if type(m) is not int or type(n) is not int or v is None:
+        if type(m) is not int or type(n) is not int or type(v) is not list:
             raise UsageError(
                 f"{args.input}: a json tensor file needs integer 'm', 'n' "
                 "and a numeric array 'v'"
@@ -199,7 +191,12 @@ def _spec_from_file(args) -> tuple[HankelSpec, dict]:
             v = [float(tok) for tok in text.split()]
         except ValueError as exc:
             raise UsageError(f"{args.input}: expected one number per line") from exc
-    spec = HankelSpec(m=m, n=n, v=np.asarray(v, dtype=float))
+    try:
+        v = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:  # a nested or non-numeric entry
+        raise UsageError(
+            f"{args.input}: 'v' must be a flat array of numbers") from exc
+    spec = HankelSpec(m=m, n=n, v=v)
     return spec, {"input": args.input, "m": spec.m, "n": spec.n}
 
 
@@ -255,7 +252,7 @@ def _cmd_solve(args) -> int:
 
     payload = {"lambda": best.eigenvalue}
     if spec.n <= _JSON_VECTOR_LIMIT:
-        payload["x"] = best.x
+        payload["x"] = best.x.tolist()
     payload.update({
         "residual": best.residual,
         "iterations": best.iterations,
@@ -282,7 +279,7 @@ def _cmd_solve(args) -> int:
 def _cmd_gen(args) -> int:
     spec, _ = _spec_from_family(args)
     if args.format == "json":
-        text = _json_text({"m": spec.m, "n": spec.n, "v": spec.v})
+        text = _json_text({"m": spec.m, "n": spec.n, "v": spec.v.tolist()})
     else:
         text = "\n".join(_format_float(val) for val in spec.v) + "\n"
     _emit(args.out, text)

@@ -13,7 +13,7 @@ from string import ascii_letters
 
 import numpy as np
 
-from .fft_products import HankelSpec
+from .fft_products import HankelSpec, _vector
 from .objective import BTensorKind, InvalidReferenceTensorError, b_xm, b_xm1, b_xm2
 
 __all__ = [
@@ -64,16 +64,9 @@ def materialize(spec: HankelSpec,
     return DenseSymmetricTensor(m=spec.m, n=spec.n, entries=spec.v[sums].ravel())
 
 
-def _check_x(t: DenseSymmetricTensor, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != t.n:
-        raise ValueError(f"x must have length n = {t.n}, got {x.size}")
-    return x
-
-
 def dense_xm(t: DenseSymmetricTensor, x: np.ndarray) -> float:
     """Full-enumeration scalar contraction over all ``n^m`` index tuples."""
-    x = _check_x(t, x)
+    x = _vector(x, t.n)
     idx = ascii_letters[: t.m]
     sub = idx + "," + ",".join(idx) + "->"
     return float(np.einsum(sub, t.reshaped(), *([x] * t.m)))
@@ -81,7 +74,7 @@ def dense_xm(t: DenseSymmetricTensor, x: np.ndarray) -> float:
 
 def dense_xm1(t: DenseSymmetricTensor, x: np.ndarray) -> np.ndarray:
     """Full-enumeration vector contraction over the trailing ``m-1`` modes."""
-    x = _check_x(t, x)
+    x = _vector(x, t.n)
     idx = ascii_letters[: t.m]
     sub = idx + "," + ",".join(idx[1:]) + "->" + idx[0]
     return np.einsum(sub, t.reshaped(), *([x] * (t.m - 1)))
@@ -92,7 +85,7 @@ def dense_xm2(t: DenseSymmetricTensor, x: np.ndarray) -> np.ndarray:
 
     For ``m == 2`` the contraction is empty and the matrix itself comes back.
     """
-    x = _check_x(t, x)
+    x = _vector(x, t.n)
     if t.m == 2:
         return t.reshaped().copy()
     idx = ascii_letters[: t.m]
@@ -106,7 +99,7 @@ def dense_hessian(t: DenseSymmetricTensor, b: BTensorKind,
 
     Assembled from the dense contractions; symmetric by construction.
     """
-    x = _check_x(t, x)
+    x = _vector(x, t.n)
     if not np.any(x):
         raise ValueError("the Hessian of the quotient objective needs x != 0")
     m = t.m

@@ -193,11 +193,12 @@ def _workspace(spec: HankelSpec, cache: SpectralCache) -> _Workspace:
                       np.empty(half, dtype=complex), Counter())
 
 
-def _vector(x, n: int) -> np.ndarray:
-    """``x`` as a 1-D float array, refused unless its length is ``n``."""
+def _vector(x, n: int, name: str = "x") -> np.ndarray:
+    """``x`` as a 1-D float array, refused unless its length is ``n``: the
+    package's one vector check, whose error names the argument ``name``."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != n:
-        raise ValueError(f"x must have length n = {n}, got {x.size}")
+        raise ValueError(f"{name} must have length n = {n}, got {x.size}")
     return x
 
 

@@ -89,10 +89,11 @@ def b_xm(kind: ReferenceTensor, m: int, x: np.ndarray) -> float:
 
 
 def b_xm1(kind: ReferenceTensor, m: int, x: np.ndarray) -> np.ndarray:
-    """Vector product ``B x^{m-1}``."""
+    """Vector product ``B x^{m-1}``; a custom one must have the length of
+    ``x``."""
     x = np.asarray(x, dtype=float)
     if isinstance(kind, ReferenceProducts):
-        return np.asarray(kind.xm1(m, x), dtype=float)
+        return _vector(kind.xm1(m, x), x.size, "B x^{m-1}")
     if kind is BTensorKind.Z_IDENTITY:
         # ||x||^0 == 1 covers m == 2 even at the x == 0 boundary.
         return _norm(x) ** (m - 2) * x

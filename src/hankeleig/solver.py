@@ -46,7 +46,6 @@ __all__ = [
     "cayley_step",
     "step_length",
     "curvilinear_search",
-    "bb_initial_step",
     "solve",
     "multistart",
     "power_method_baseline",
@@ -230,7 +229,7 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
     exact arithmetic; drift beyond 1e-14 is renormalised away.
     """
     x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    p = _vector(p, x.size, "p")
     _check_alpha(alpha)
     t = alpha * _norm(p)
     u = t * t
@@ -261,21 +260,19 @@ def step_length(x: np.ndarray, p: np.ndarray, alpha: float) -> float:
     return 2.0 * (t / math.hypot(1.0, t))
 
 
-def bb_initial_step(dx: np.ndarray, dp: np.ndarray, alpha_max: float,
-                    fallback: float | None = None, scale: float = 1.0) -> float:
+def _bb_step(dx: np.ndarray, dp: np.ndarray, alpha_max: float,
+             fallback: float, scale: float) -> float:
     """Geometric-mean Barzilai-Borwein trial step ``||dx|| / ||dp||``.
 
     Clamped to ``[1e-10 / scale, alpha_max]``.  The ratio scales as
     ``1/lambda``, so :func:`solve` passes ``scale = max(1, |f|)`` at the new
     iterate and the floor is relative to the eigenvalue.  A zero gradient
-    difference carries the previous trial step forward via ``fallback``
-    (``alpha_max`` if no fallback is supplied).
+    difference carries the previous trial step, ``fallback``, forward.
     """
-    ndp = _norm(np.asarray(dp, dtype=float))
+    ndp = _norm(dp)
     if ndp == 0.0:
-        return fallback if fallback is not None else alpha_max
-    ratio = _norm(np.asarray(dx, dtype=float)) / ndp
-    return min(max(ratio, _BB_FLOOR / scale), alpha_max)
+        return fallback
+    return min(max(_norm(dx) / ndp, _BB_FLOOR / scale), alpha_max)
 
 
 def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
@@ -303,12 +300,13 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
         raise ValueError(f"alpha_bar must lie in (0, alpha_max], got {alpha_bar}")
     ws = _workspace(spec, cache) if workspace is None else workspace
     x_k = _vector(x_k, spec.n)
+    g = _vector(eval_k.g, spec.n, "g")
     sgn = _sign(opts.extreme)
     f_k = eval_k.f
-    gnorm2 = float(eval_k.g @ eval_k.g)
+    gnorm2 = float(g @ g)
     for j in range(opts.max_backtracks + 1):
         alpha = alpha_bar * opts.beta ** j
-        x_trial = cayley_step(x_k, eval_k.g, alpha, opts.extreme)
+        x_trial = cayley_step(x_k, g, alpha, opts.extreme)
         ws.counts["trials"] += 1
         f_trial, hxm, bxm = _quotient(kind, x_trial, ws)
         # Strict inequality keeps the trace strictly monotone even when the
@@ -329,9 +327,7 @@ def _start(n: int, seed: int, x_1=None) -> np.ndarray:
     if x_1 is None:
         x = np.random.default_rng(seed).standard_normal(n)
     else:
-        x = np.asarray(x_1, dtype=float).reshape(-1)
-        if x.size != n:
-            raise ValueError(f"x_1 must have length n = {n}, got {x.size}")
+        x = _vector(x_1, n, "x_1")
     top = float(np.max(np.abs(x)))
     if not math.isfinite(top):
         raise ValueError("x_1 must be finite")
@@ -445,8 +441,8 @@ def _search_rule(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
         # the workspace is free until the next search
         dx = np.subtract(x_new, x, out=ws.power.view(float)[: spec.n])
         dg = np.subtract(ev_new.g, ev.g, out=ws.scratch.view(float)[: spec.n])
-        alpha_bar = bb_initial_step(dx, dg, opts.alpha_max, fallback=alpha_bar,
-                                    scale=max(1.0, abs(ev_new.f)))
+        alpha_bar = _bb_step(dx, dg, opts.alpha_max, alpha_bar,
+                             max(1.0, abs(ev_new.f)))
         return x_new, ev_new, alpha_k, backtracks
 
     return step

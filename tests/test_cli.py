@@ -226,6 +226,20 @@ def test_solve_json_input_needs_integer_order(capsys, tmp_path, bad):
     assert list(tmp_path.iterdir()) == [vec]
 
 
+@pytest.mark.parametrize("v", ['{"a": 1}', "[1, 2, [3], 4, 5]"])
+def test_solve_json_input_needs_a_flat_numeric_v(capsys, tmp_path, v):
+    # an object or a nested entry in 'v' is a usage error naming 'v', not a
+    # traceback or numpy's own message
+    vec = tmp_path / "v.json"
+    vec.write_text('{"m": 4, "n": 2, "v": %s}' % v)
+    code, _, err = run(capsys, "solve", "--input", str(vec), "--btensor", "z",
+                       "--extreme", "min")
+    assert code == 1
+    assert err.startswith("error:")
+    assert "'v'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag, value, name", [
     ("--tol", "nan", "tol_rel"),
     ("--tol", "inf", "tol_rel"),

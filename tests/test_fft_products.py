@@ -1,20 +1,25 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hankeleig.dense_oracle import dense_xm, dense_xm1, materialize
+from hankeleig.dense_oracle import (dense_hessian, dense_xm, dense_xm1,
+                                    dense_xm2, materialize)
 from hankeleig.fft_products import (HankelSpec, _fast_len, _workspace,
                                     _xm1_from_power, _xm_and_power, hankel_xm,
                                     hankel_xm1, make_cache)
-from hankeleig.objective import BTensorKind, evaluate
-from hankeleig.solver import SolverOptions, curvilinear_search
+from hankeleig.objective import (BTensorKind, ReferenceProducts, evaluate,
+                                 residual)
+from hankeleig.solver import (Extreme, SolverOptions, cayley_step,
+                              curvilinear_search, solve)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -203,6 +208,40 @@ def test_x_length_checked():
         for x in ([1.0], [1.0 / 3, 2.0 / 3, 2.0 / 3]):
             with pytest.raises(ValueError, match="length n = 2"):
                 entry(x)
+    # The other vector arguments, each named in its error: a gradient and a
+    # Cayley direction would broadcast against x, a start is not checked
+    # twice, and the dense oracle checks through the same function.
+    spec = HankelSpec(m=4, n=2, v=[1.0, -0.5, 2.0, 0.25, 1.5])
+    cache = make_cache(spec)
+    dense = materialize(spec)
+    x = np.array([0.6, 0.8])
+    ev = evaluate(spec, cache, z, x)
+    named = [
+        ("g", lambda v: curvilinear_search(spec, cache, z, x,
+                                           replace(ev, g=np.array(v)), 0.5,
+                                           SolverOptions())),
+        ("p", lambda v: cayley_step(x, v, 0.5, Extreme.MIN)),
+        ("x_1", lambda v: solve(spec, z, SolverOptions(), x_1=v)),
+        ("x", lambda v: dense_xm(dense, v)),
+        ("x", lambda v: dense_xm1(dense, v)),
+        ("x", lambda v: dense_xm2(dense, v)),
+        ("x", lambda v: dense_hessian(dense, z, v)),
+    ]
+    for name, entry in named:
+        for v in ([1.0], [1.0 / 3, 2.0 / 3, 2.0 / 3]):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{name} must have length n = 2")):
+                entry(v)
+    # A custom B x^{m-1} of the wrong length would broadcast in the residual
+    # and fail inside numpy in the gradient.
+    for length in (1, 3):
+        short = ReferenceProducts(lambda m, v: 1.0,
+                                  lambda m, v, k=length: np.ones(k))
+        for entry in (lambda: residual(spec, cache, short, x, 1.0),
+                      lambda: evaluate(spec, cache, short, x)):
+            with pytest.raises(ValueError,
+                               match=re.escape("B x^{m-1} must have length n = 2")):
+                entry()
 
 
 def test_product_time_scales_like_n_log_n():

@@ -23,7 +23,7 @@ from hankeleig.solver import (
     SolverOptions,
     Termination,
     UnsupportedOrderError,
-    bb_initial_step,
+    _bb_step,
     cayley_step,
     curvilinear_search,
     multistart,
@@ -121,22 +121,23 @@ class TestStepLength:
 
 class TestBBStep:
     def test_plain_ratio(self):
-        assert bb_initial_step(np.array([2.0, 0.0]), np.array([0.0, 4.0]), 10.0) == 0.5
+        assert _bb_step(np.array([2.0, 0.0]), np.array([0.0, 4.0]), 10.0,
+                        1.0, 1.0) == 0.5
 
     def test_zero_dp_uses_fallback(self):
-        assert bb_initial_step(np.ones(2), np.zeros(2), 10.0, fallback=0.25) == 0.25
-        assert bb_initial_step(np.ones(2), np.zeros(2), 10.0) == 10.0
+        assert _bb_step(np.ones(2), np.zeros(2), 10.0, 0.25, 1.0) == 0.25
 
     def test_clamps(self):
-        assert bb_initial_step(np.array([1e9]), np.array([1.0]), 1e4) == 1e4
-        assert bb_initial_step(np.array([1e-30]), np.array([1.0]), 1e4) == 1e-10
+        assert _bb_step(np.array([1e9]), np.array([1.0]), 1e4, 1.0, 1.0) == 1e4
+        assert _bb_step(np.array([1e-30]), np.array([1.0]), 1e4,
+                        1.0, 1.0) == 1e-10
 
     def test_floor_is_relative_to_scale(self):
         # a step of 1e-13 suits an eigenvalue near 1e11 and is kept
-        assert bb_initial_step(np.array([1e-13]), np.array([1.0]), 1e4,
-                               scale=3.6e11) == 1e-13
-        assert bb_initial_step(np.array([1e-30]), np.array([1.0]), 1e4,
-                               scale=1e11) == 1e-10 / 1e11
+        assert _bb_step(np.array([1e-13]), np.array([1.0]), 1e4, 1.0,
+                        3.6e11) == 1e-13
+        assert _bb_step(np.array([1e-30]), np.array([1.0]), 1e4, 1.0,
+                        1e11) == 1e-10 / 1e11
 
 
 class TestCurvilinearSearch:
