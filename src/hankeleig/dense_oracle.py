@@ -31,7 +31,7 @@ DEFAULT_ENTRY_CAP = 10 ** 7
 
 
 class OracleCapError(ValueError):
-    """Raised when a dense tensor would exceed the configured entry cap."""
+    """Raised when a dense tensor would exceed ``DEFAULT_ENTRY_CAP`` entries."""
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,13 @@ class DenseSymmetricTensor:
         return self.entries.reshape((self.n,) * self.m)
 
 
-def materialize(spec: HankelSpec,
-                entry_cap: int = DEFAULT_ENTRY_CAP) -> DenseSymmetricTensor:
+def materialize(spec: HankelSpec) -> DenseSymmetricTensor:
     """Expand a generating vector into the full dense Hankel tensor."""
     count = spec.n ** spec.m
-    if count > entry_cap:
+    if count > DEFAULT_ENTRY_CAP:
         raise OracleCapError(
             f"dense tensor would hold n^m = {count} entries, above the cap "
-            f"of {entry_cap}"
+            f"of {DEFAULT_ENTRY_CAP}"
         )
     sums = np.zeros((spec.n,) * spec.m, dtype=np.intp)
     for axis in range(spec.m):

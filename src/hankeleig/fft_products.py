@@ -145,14 +145,16 @@ def make_cache(spec: HankelSpec) -> SpectralCache:
     return SpectralCache(spec=spec, size=size, vhat=vhat, exponent=exponent)
 
 
-def _power(a: np.ndarray, k: int) -> np.ndarray:
-    """``a**k`` for ``k >= 1`` by repeated in-place products: several times
-    faster than ``**``, which calls ``pow`` per entry, and no less accurate
-    for the small orders used here."""
-    p = a.copy()
+def _power(a: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``a**k`` for ``k >= 1`` by repeated in-place products, into ``out``
+    if it is given: several times faster than ``**``, which calls ``pow``
+    per entry, and no less accurate for the small orders used here."""
+    if out is None:
+        out = np.empty_like(a)
+    np.copyto(out, a)
     for _ in range(k - 1):
-        p *= a
-    return p
+        out *= a
+    return out
 
 
 def _norm(v: np.ndarray) -> float:
@@ -216,10 +218,7 @@ def _xm_and_power(ws: _Workspace, x: np.ndarray) -> float:
     # rfft pads x with zeros to ``size`` itself
     np.fft.rfft(x, n=cache.size, out=z)
     ws.counts["forward_transforms"] += 1
-    # the products of _power(z, m - 1), in its order
-    np.copyto(p, z)
-    for _ in range(cache.spec.m - 2):
-        p *= z
+    _power(z, cache.spec.m - 1, out=p)
     # ``p * z``, not ``z * p``: complex multiplication is not bitwise
     # commutative, and ``p * z`` is the loop's next step, so ``H x^m`` is
     # the same to the last bit as from an m-fold loop.

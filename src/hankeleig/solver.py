@@ -225,8 +225,9 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
 
     For the MIN variant ``x+ = ((1 - a) x - 2 alpha p) / (1 + a)`` with
     ``a = alpha^2 ||p||^2``; the MAX variant flips the sign of the ``p``
-    term.  For a unit ``x`` and tangent ``p`` the result has unit norm in
-    exact arithmetic; drift beyond 1e-14 is renormalised away.
+    term.  For a unit ``x`` and a tangent ``p`` the result is unit to
+    rounding and is not renormalised: a trial point is exactly a linear
+    combination of ``x`` and ``p``.
     """
     x = np.asarray(x, dtype=float)
     p = _vector(p, x.size, "p")
@@ -238,11 +239,7 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
     # the factor 2, a power of two, commutes with rounding.
     cx = 2.0 / (1.0 + u) - 1.0
     cp = 2.0 * (alpha / (1.0 + u))
-    out = cx * x + _sign(extreme) * cp * p
-    nrm = _norm(out)
-    if abs(nrm - 1.0) > 1e-14 and nrm > 0.0:
-        out = out / nrm
-    return out
+    return cx * x + _sign(extreme) * cp * p
 
 
 def step_length(x: np.ndarray, p: np.ndarray, alpha: float) -> float:
@@ -472,15 +469,14 @@ def solve(spec: HankelSpec, kind: ReferenceTensor, opts: SolverOptions,
                     _search_rule)
 
 
-def _bin_eigenvalues(values: list[float],
-                     tol: float = _EIGENVALUE_BIN_TOL) -> list[OccurrenceBin]:
-    """Group sorted eigenvalues whose gaps are at most ``tol`` times the
-    largest ``|eigenvalue|``; the bins of ``2**k`` times the values are the
-    bins of the values times ``2**k``."""
+def _bin_eigenvalues(values: list[float]) -> list[OccurrenceBin]:
+    """Group sorted eigenvalues whose gaps are at most
+    ``_EIGENVALUE_BIN_TOL`` times the largest ``|eigenvalue|``; the bins of
+    ``2**k`` times the values are the bins of the values times ``2**k``."""
     if not values:
         return []
     ordered = sorted(values)
-    gap = tol * max(abs(ordered[0]), abs(ordered[-1]))
+    gap = _EIGENVALUE_BIN_TOL * max(abs(ordered[0]), abs(ordered[-1]))
     groups: list[list[float]] = [[ordered[0]]]
     for lam in ordered[1:]:
         if lam - groups[-1][-1] <= gap:
@@ -560,11 +556,6 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
     return step
 
 
-def _power_iteration(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
-                     opts: SolverOptions, x: np.ndarray) -> EigenResult:
-    return _iterate(spec, cache, kind, opts, x, _power_rule, shift=True)
-
-
 def power_method_baseline(spec: HankelSpec, kind: BTensorKind,
                           opts: SolverOptions) -> EigenResult:
     """Shifted power iteration over the same FFT products, best of all starts.
@@ -584,6 +575,7 @@ def power_method_baseline(spec: HankelSpec, kind: BTensorKind,
             "action and supports only the shipped kinds"
         )
     cache = make_cache(spec)
-    return _best((_power_iteration(spec, cache, kind, opts,
-                                   _start(spec.n, opts.seed + i))
+    return _best((_iterate(spec, cache, kind, opts,
+                           _start(spec.n, opts.seed + i), _power_rule,
+                           shift=True)
                   for i in range(opts.starts)), opts.extreme)

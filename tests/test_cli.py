@@ -226,10 +226,14 @@ def test_solve_json_input_needs_integer_order(capsys, tmp_path, bad):
     assert list(tmp_path.iterdir()) == [vec]
 
 
-@pytest.mark.parametrize("v", ['{"a": 1}', "[1, 2, [3], 4, 5]"])
+@pytest.mark.parametrize("v", [
+    '{"a": 1}', "[1, 2, [3], 4, 5]", '["1", 2, 3, 4, 5]', "[true, 2, 3, 4, 5]",
+    pytest.param("[1%s, 2, 3, 4, 5]" % ("0" * 399), id="400-digit-integer"),
+])
 def test_solve_json_input_needs_a_flat_numeric_v(capsys, tmp_path, v):
-    # an object or a nested entry in 'v' is a usage error naming 'v', not a
-    # traceback or numpy's own message
+    # an object, a nested entry, a string, a boolean or an integer beyond
+    # float64 in 'v' is a usage error naming 'v', not a traceback, numpy's
+    # own message or a number numpy made of it
     vec = tmp_path / "v.json"
     vec.write_text('{"m": 4, "n": 2, "v": %s}' % v)
     code, _, err = run(capsys, "solve", "--input", str(vec), "--btensor", "z",
@@ -276,6 +280,54 @@ def test_unwritable_out_path_is_an_error(capsys, tmp_path, command):
     assert "Traceback" not in err
     assert str(out) in err and ".hankeleig-" not in err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--btensor", "z", "--extreme", "min"],
+    ["gen"],
+])
+def test_out_path_that_is_a_directory_is_an_error(capsys, tmp_path, command):
+    out = tmp_path / "outdir"
+    out.mkdir()
+    code, _, err = run(capsys, *command, "--family", "sin", "--order", "4",
+                       "--dim", "5", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:")
+    assert str(out) in err and ".hankeleig-" not in err
+    # the temporary file is gone
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"v.txt": "1\n2\n3\n"},
+     ["solve", "--input", "v.txt", "--btensor", "z", "--extreme", "min"],
+     "needs --order and --dim"),
+    ({"v.txt": "1\ntwo\n3\n"},
+     ["solve", "--input", "v.txt", "--order", "2", "--dim", "2",
+      "--btensor", "z", "--extreme", "min"],
+     "expected one number per line"),
+    ({"v.json": '{"m": 2, "n": 2, "v": [1, 2, 3]}'},
+     ["solve", "--input", "v.json", "--order", "4",
+      "--btensor", "z", "--extreme", "min"],
+     "--order 4 contradicts m=2"),
+    ({}, ["solve", "--input", "missing.txt", "--order", "2", "--dim", "2",
+          "--btensor", "z", "--extreme", "min"],
+     "cannot read missing.txt"),
+    ({}, ["gen", "--family", "param"], "--family param needs --epsilon"),
+    ({}, ["bench", "--order", "4", "--dims", ","],
+     "--dims must name at least one dimension"),
+], ids=["txt-without-shape", "txt-non-number", "order-contradicts-json",
+        "missing-input", "param-without-epsilon", "empty-dims"])
+def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch, files, argv,
+                             message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_solve_rejects_odd_order(capsys):
@@ -440,3 +492,23 @@ def test_all_starts_failed_maps_to_exit_2(capsys, monkeypatch):
     assert code == 2
     assert "all starts failed" in err
     assert "start 0 failed" in err
+
+
+def test_some_starts_failed_are_reported_with_exit_0(capsys, monkeypatch):
+    import hankeleig.cli as cli_mod
+
+    real = cli_mod.multistart
+
+    def partly_failed(spec, kind, opts):
+        out = real(spec, kind, opts)
+        out.failures.append((opts.starts, "ValueError: synthetic"))
+        return out
+
+    monkeypatch.setattr(cli_mod, "multistart", partly_failed)
+    code, stdout, _ = run(capsys, "solve", "--family", "sin", "--order", "4",
+                          "--dim", "5", "--btensor", "z", "--extreme", "min",
+                          "--starts", "3", "--seed", "1")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["failures"] == [[3, "ValueError: synthetic"]]
+    assert payload["termination"] == "converged"

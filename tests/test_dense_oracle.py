@@ -43,9 +43,6 @@ def test_entry_cap():
     spec = HankelSpec(m=6, n=30, v=np.zeros(6 * 29 + 1))
     with pytest.raises(OracleCapError, match=str(DEFAULT_ENTRY_CAP)):
         materialize(spec)
-    small = HankelSpec(m=2, n=4, v=np.zeros(7))
-    with pytest.raises(OracleCapError, match="cap of 10"):
-        materialize(small, entry_cap=10)
 
 
 def test_entries_symmetric_under_index_permutations():

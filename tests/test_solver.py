@@ -88,6 +88,21 @@ class TestCayleyStep:
             expected = sgn * 2.0 * alpha * pn2 / (1.0 + alpha ** 2 * pn2)
             assert float(p @ (out - x)) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("fs, kind, extreme", [
+        (FamilySpec(Family.SIN, 4, 5), Z, Extreme.MIN),
+        (FamilySpec(Family.HILBERT, 6, 1000), H, Extreme.MAX),
+        (FamilySpec(Family.VANDERMONDE, 4, 1000), Z, Extreme.MAX),
+        (FamilySpec(Family.RANDOM, 4, 2000, seed=1), Z, Extreme.MIN),
+    ], ids=["sine", "hilbert", "vandermonde", "random"])
+    def test_iterates_stay_unit_to_the_stall(self, fs, kind, extreme):
+        # the step is not renormalised: with a tolerance no run meets, the
+        # search runs to the rounding floor and every iterate is still unit
+        res = solve(generate(fs), kind, SolverOptions(
+            seed=3, tol_rel=1e-300, extreme=extreme, keep_path=True))
+        assert res.termination is Termination.LINESEARCH_STALL
+        for x in res.path:
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+
     def test_rejects_nonpositive_alpha(self):
         x, p = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         for alpha in (0.0, -1.0, math.nan, math.inf):
@@ -516,11 +531,11 @@ class TestMultistart:
         assert out.best is out.results[first]
         picked = []
 
-        def power(spec_, cache_, kind_, opts_, x):
+        def power(spec_, cache_, kind_, opts_, x, first_step, *, shift=False):
             picked.append(fixed(len(picked)))
             return picked[-1]
 
-        monkeypatch.setattr(solver_mod, "_power_iteration", power)
+        monkeypatch.setattr(solver_mod, "_iterate", power)
         best = power_method_baseline(spec, Z,
                                      SolverOptions(starts=4, extreme=extreme))
         assert best is picked[first]
@@ -768,8 +783,9 @@ class TestPowerMethodBaseline:
         u1 = (n / (n - 1)) ** np.arange(n)
         x0 = u1 / np.linalg.norm(u1)
         cache = make_cache(spec)
-        res = solver_mod._power_iteration(
-            spec, cache, Z, SolverOptions(extreme=Extreme.MAX), x0.copy())
+        res = solver_mod._iterate(
+            spec, cache, Z, SolverOptions(extreme=Extreme.MAX), x0.copy(),
+            solver_mod._power_rule, shift=True)
         assert res.termination in (Termination.CONVERGED,
                                    Termination.ZERO_GRADIENT)
         assert np.linalg.norm(res.x - x0) <= 1e-8
@@ -779,6 +795,11 @@ class TestPowerMethodBaseline:
         with pytest.raises(UnsupportedOrderError):
             power_method_baseline(spec, Z, SolverOptions())
 
+    def test_unknown_reference_tensor_is_raised(self):
+        # the power step inverts B's action, known for the shipped kinds only
+        with pytest.raises(TypeError, match="only the shipped kinds"):
+            power_method_baseline(_sine(), "z", SolverOptions(starts=3))
+
     @pytest.mark.parametrize("seed,iterations,stats", [
         (2, 0, (2, 2, 1, 1)),
         (3, 1, (3, 3, 2, 1)),
@@ -786,9 +807,10 @@ class TestPowerMethodBaseline:
     def test_stall_without_shift_doubling(self, seed, iterations, stats):
         spec = generate(FamilySpec(Family.SIN, 4, 5))
         x = random_unit(np.random.default_rng(seed), spec.n)
-        res = solver_mod._power_iteration(
+        res = solver_mod._iterate(
             spec, make_cache(spec), Z,
-            SolverOptions(extreme=Extreme.MAX, max_backtracks=0), x)
+            SolverOptions(extreme=Extreme.MAX, max_backtracks=0), x,
+            solver_mod._power_rule, shift=True)
         assert res.termination is Termination.LINESEARCH_STALL
         assert res.iterations == iterations
         assert (res.stats.forward_transforms, res.stats.inverse_transforms,
@@ -808,11 +830,15 @@ class TestPowerMethodBaseline:
             assert np.allclose(x_next, u / np.linalg.norm(u), rtol=0.0,
                                atol=1e-12)
 
-    def test_agrees_with_curvilinear_search(self):
+    @pytest.mark.parametrize("kind, extreme", [
+        (Z, Extreme.MIN), (H, Extreme.MIN), (H, Extreme.MAX),
+    ], ids=["z-min", "h-min", "h-max"])
+    def test_agrees_with_curvilinear_search(self, kind, extreme):
+        # H takes the power step through the entrywise (m-1)-th root
         spec = generate(FamilySpec(Family.SIN, 4, 5))
-        opts = SolverOptions(starts=20, seed=7)
-        a = multistart(spec, Z, opts)
-        p = power_method_baseline(spec, Z, opts)
+        opts = SolverOptions(starts=20, seed=7, extreme=extreme)
+        a = multistart(spec, kind, opts)
+        p = power_method_baseline(spec, kind, opts)
         assert isinstance(p, EigenResult)
         assert p.stats.forward_transforms == p.stats.inverse_transforms \
             == 1 + p.stats.trials
