@@ -126,6 +126,7 @@ def _emit(path: str | None, text: str) -> None:
 
 def _add_family_args(p: argparse.ArgumentParser, with_input: bool) -> None:
     p.add_argument("--family", choices=[f.value for f in Family],
+                   required=not with_input,
                    help="benchmark family for the generating vector")
     p.add_argument("--order", type=int, help="tensor order m")
     p.add_argument("--dim", type=int, help="tensor dimension n")
@@ -205,20 +206,15 @@ def _spec_from_file(args) -> tuple[HankelSpec, dict]:
     return spec, {"input": args.input, "m": spec.m, "n": spec.n}
 
 
-def _load_spec(args) -> tuple[HankelSpec, dict]:
-    has_family = getattr(args, "family", None) is not None
-    has_input = getattr(args, "input", None) is not None
-    if has_family == has_input:
-        raise UsageError("choose exactly one tensor source: --family or --input")
-    return _spec_from_family(args) if has_family else _spec_from_file(args)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    spec, source = _load_spec(args)
+    if (args.family is None) == (args.input is None):
+        raise UsageError("choose exactly one tensor source: --family or --input")
+    spec, source = (_spec_from_family(args) if args.input is None
+                    else _spec_from_file(args))
     kind = BTensorKind(args.btensor)
     opts = SolverOptions(
         eta=args.eta, beta=args.beta, alpha_max=args.alpha_max,

@@ -8,7 +8,7 @@ package is validated against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
 from string import ascii_letters
 
 import numpy as np
@@ -18,7 +18,6 @@ from .objective import BTensorKind, InvalidReferenceTensorError, b_xm, b_xm1, b_
 
 __all__ = [
     "DEFAULT_ENTRY_CAP",
-    "DenseSymmetricTensor",
     "OracleCapError",
     "materialize",
     "dense_xm",
@@ -34,74 +33,58 @@ class OracleCapError(ValueError):
     """Raised when a dense tensor would exceed ``DEFAULT_ENTRY_CAP`` entries."""
 
 
-@dataclass(frozen=True)
-class DenseSymmetricTensor:
-    """All ``n^m`` entries of a symmetric tensor, flat in row-major order."""
-
-    m: int
-    n: int
-    entries: np.ndarray
-
-    def reshaped(self) -> np.ndarray:
-        """Entries as an m-way array of shape ``(n,) * m``."""
-        return self.entries.reshape((self.n,) * self.m)
-
-
-def materialize(spec: HankelSpec) -> DenseSymmetricTensor:
-    """Expand a generating vector into the full dense Hankel tensor."""
+def materialize(spec: HankelSpec) -> np.ndarray:
+    """Expand a generating vector into the full dense Hankel tensor, the
+    m-way array of shape ``(n,) * m`` with entry ``v[i1 + ... + im]``."""
     count = spec.n ** spec.m
     if count > DEFAULT_ENTRY_CAP:
         raise OracleCapError(
             f"dense tensor would hold n^m = {count} entries, above the cap "
             f"of {DEFAULT_ENTRY_CAP}"
         )
-    sums = np.zeros((spec.n,) * spec.m, dtype=np.intp)
-    for axis in range(spec.m):
-        shape = [1] * spec.m
-        shape[axis] = spec.n
-        sums = sums + np.arange(spec.n, dtype=np.intp).reshape(shape)
-    return DenseSymmetricTensor(m=spec.m, n=spec.n, entries=spec.v[sums].ravel())
+    # the sum of the m indices at every position of the m-way array
+    return spec.v[reduce(np.add.outer, [np.arange(spec.n)] * spec.m)]
 
 
-def dense_xm(t: DenseSymmetricTensor, x: np.ndarray) -> float:
+def dense_xm(t: np.ndarray, x: np.ndarray) -> float:
     """Full-enumeration scalar contraction over all ``n^m`` index tuples."""
-    x = _vector(x, t.n)
-    idx = ascii_letters[: t.m]
+    x = _vector(x, t.shape[0])
+    idx = ascii_letters[: t.ndim]
     sub = idx + "," + ",".join(idx) + "->"
-    return float(np.einsum(sub, t.reshaped(), *([x] * t.m)))
+    return float(np.einsum(sub, t, *([x] * t.ndim)))
 
 
-def dense_xm1(t: DenseSymmetricTensor, x: np.ndarray) -> np.ndarray:
+def dense_xm1(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Full-enumeration vector contraction over the trailing ``m-1`` modes."""
-    x = _vector(x, t.n)
-    idx = ascii_letters[: t.m]
+    x = _vector(x, t.shape[0])
+    idx = ascii_letters[: t.ndim]
     sub = idx + "," + ",".join(idx[1:]) + "->" + idx[0]
-    return np.einsum(sub, t.reshaped(), *([x] * (t.m - 1)))
+    return np.einsum(sub, t, *([x] * (t.ndim - 1)))
 
 
-def dense_xm2(t: DenseSymmetricTensor, x: np.ndarray) -> np.ndarray:
+def dense_xm2(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Full-enumeration matrix contraction over the trailing ``m-2`` modes.
 
     For ``m == 2`` the contraction is empty and the matrix itself comes back.
     """
-    x = _vector(x, t.n)
-    if t.m == 2:
-        return t.reshaped().copy()
-    idx = ascii_letters[: t.m]
+    x = _vector(x, t.shape[0])
+    if t.ndim == 2:
+        return t.copy()
+    idx = ascii_letters[: t.ndim]
     sub = idx + "," + ",".join(idx[2:]) + "->" + idx[:2]
-    return np.einsum(sub, t.reshaped(), *([x] * (t.m - 2)))
+    return np.einsum(sub, t, *([x] * (t.ndim - 2)))
 
 
-def dense_hessian(t: DenseSymmetricTensor, b: BTensorKind,
+def dense_hessian(t: np.ndarray, b: BTensorKind,
                   x: np.ndarray) -> np.ndarray:
     """Dense Hessian of the quotient objective ``f(x) = Hx^m / Bx^m``.
 
     Assembled from the dense contractions; symmetric by construction.
     """
-    x = _vector(x, t.n)
+    x = _vector(x, t.shape[0])
     if not np.any(x):
         raise ValueError("the Hessian of the quotient objective needs x != 0")
-    m = t.m
+    m = t.ndim
     bxm = b_xm(b, m, x)
     if bxm <= 0.0:
         raise InvalidReferenceTensorError(

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HankelSpec:
     """Compact description of a Hankel tensor.
 
@@ -88,7 +88,7 @@ class HankelSpec:
         return self.m * (self.n - 1) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralCache:
     """Reusable spectral data for one Hankel tensor: one half spectrum.
 
@@ -163,7 +163,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Workspace:
     """The cache and buffers of one solver run, and the work done in them.
 

@@ -10,6 +10,7 @@ mapping onto H-eigenpairs (``(B x^{m-1})_i = x_i^{m-1}``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -36,7 +37,8 @@ _UNIT_TOL = 1e-8
 
 
 class InvalidReferenceTensorError(ValueError):
-    """Raised when ``B x^m <= 0``; the quotient objective is then undefined."""
+    """Raised when ``B x^m`` is not positive and finite, or a custom
+    ``B x^{m-1}`` not finite; the quotient objective is then undefined."""
 
 
 class BTensorKind(Enum):
@@ -53,8 +55,10 @@ class ReferenceProducts:
     Supply the two products as callables of ``(m, x)``.  Any such pair can
     be passed wherever a :class:`BTensorKind` is accepted by the objective
     and the curvilinear solver.  The caller is responsible for positive
-    definiteness (even order); ``B x^m <= 0`` is still caught at every
-    point where the quotient is taken, line-search trials included.
+    definiteness (even order) and finite products; a ``B x^m`` that is not
+    positive and finite is still caught at every point where the quotient
+    is taken, line-search trials included, and so is a ``B x^{m-1}`` with a
+    NaN or infinite entry.
     """
 
     xm: Callable[[int, np.ndarray], float]
@@ -64,7 +68,7 @@ class ReferenceProducts:
 ReferenceTensor = BTensorKind | ReferenceProducts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveEval:
     """One objective evaluation: value, gradient, and the four raw products."""
 
@@ -93,7 +97,11 @@ def b_xm1(kind: ReferenceTensor, m: int, x: np.ndarray) -> np.ndarray:
     ``x``."""
     x = np.asarray(x, dtype=float)
     if isinstance(kind, ReferenceProducts):
-        return _vector(kind.xm1(m, x), x.size, "B x^{m-1}")
+        bxm1 = _vector(kind.xm1(m, x), x.size, "B x^{m-1}")
+        if not np.isfinite(bxm1).all():
+            raise InvalidReferenceTensorError(
+                "B x^{m-1} has a NaN or infinite entry")
+        return bxm1
     if kind is BTensorKind.Z_IDENTITY:
         # ||x||^0 == 1 covers m == 2 even at the x == 0 boundary.
         return _norm(x) ** (m - 2) * x
@@ -156,14 +164,14 @@ def _quotient(kind: ReferenceTensor, x: np.ndarray,
 
     The transform leaves the spectrum of ``x^{m-1}`` in ``ws`` for
     :func:`_gradient`.  Raises :class:`InvalidReferenceTensorError` unless
-    ``B x^m > 0``.
+    ``0 < B x^m < inf``.
     """
     hxm = _xm_and_power(ws, x)
     bxm = b_xm(kind, ws.cache.spec.m, x)
-    if bxm <= 0.0:
+    if not 0.0 < bxm < math.inf:
         raise InvalidReferenceTensorError(
-            f"B x^m = {bxm!r} is not positive; the reference tensor is not "
-            "positive definite at this point (odd order?)"
+            f"B x^m = {bxm!r} is not positive and finite; the reference "
+            "tensor is not positive definite at this point (odd order?)"
         )
     return hxm / bxm, hxm, bxm
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -94,18 +95,20 @@ class SolverOptions:
 
     ``tol_rel`` is the coefficient of the stopping rule
     ``|lam_{k+1} - lam_k| / max(1, |lam_k|) < tol_rel * sqrt(n)``, applied
-    to the normalised tensor.  ``alpha_1`` is relative: the first search
-    starts at ``alpha_1 / max(1, |f(x_1)|)``.  ``keep_path`` retains every
-    iterate (for invariant audits).
+    to the normalised tensor.  ``keep_path`` retains every iterate (for
+    invariant audits).  Two constants of the class are not settings: the
+    first search starts at ``min(alpha_1 / max(1, |f(x_1)|), alpha_max)``,
+    and a search gives up after ``max_backtracks`` rejected trials.
     """
+
+    alpha_1: ClassVar[float] = 1.0
+    max_backtracks: ClassVar[int] = 60
 
     eta: float = 1e-3
     beta: float = 0.5
     alpha_max: float = 1e4
-    alpha_1: float = 1.0
     tol_rel: float = 1e-12
     max_iter: int = 1000
-    max_backtracks: int = 60
     extreme: Extreme = Extreme.MIN
     starts: int = 1
     seed: int = 0
@@ -120,15 +123,8 @@ class SolverOptions:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not 0.0 < self.alpha_1 <= self.alpha_max:
-            raise ValueError(
-                f"alpha_1 must lie in (0, alpha_max], got {self.alpha_1} "
-                f"with alpha_max {self.alpha_max}"
-            )
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be nonnegative")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
         if self.seed < 0:
@@ -177,7 +173,7 @@ class SolveStats:
     backtracks: int = 0
 
 
-@dataclass(slots=True)
+@dataclass(eq=False, slots=True)
 class EigenResult:
     """Outcome of one solver run."""
 
@@ -200,7 +196,7 @@ class OccurrenceBin:
     share: float
 
 
-@dataclass
+@dataclass(eq=False)
 class MultistartOutcome:
     """All per-start results plus a summary of distinct eigenvalues."""
 
@@ -377,9 +373,13 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     trace: list[IterationRecord] = []
     path: list[np.ndarray] | None = [x.copy()] if opts.keep_path else None
     termination = Termination.MAX_ITER
+    rel_change = math.inf
     k = 1
     while True:
         gnorm = _norm(ev.g)
+        if rel_change < tol:
+            termination = Termination.CONVERGED
+            break
         if gnorm <= _ZERO_GRAD_FLOOR * max(1.0, abs(ev.f)):
             termination = Termination.ZERO_GRADIENT
             break
@@ -397,11 +397,7 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
         rel_change = abs(ev_new.f - ev.f) / max(1.0, abs(ev.f))
         x, ev = x_new, ev_new
         k += 1
-        if rel_change < tol:
-            termination = Termination.CONVERGED
-            break
-    trace.append(IterationRecord(k=k, lambda_k=ev.f,
-                                 grad_norm=_norm(ev.g),
+    trace.append(IterationRecord(k=k, lambda_k=ev.f, grad_norm=gnorm,
                                  alpha_k=0.0, backtracks=0))
     lam = ev.f
     # ||H x^{m-1} - f B x^{m-1}|| from the products ev holds
@@ -428,8 +424,9 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
 def _search_rule(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
                  opts: SolverOptions, ev_1: ObjectiveEval):
     """The paper's step: :func:`curvilinear_search` from the
-    Barzilai-Borwein trial step, ``alpha_1 / max(1, |f_1|)`` at first."""
-    alpha_bar = opts.alpha_1 / max(1.0, abs(ev_1.f))
+    Barzilai-Borwein trial step, ``min(alpha_1 / max(1, |f_1|), alpha_max)``
+    at first."""
+    alpha_bar = min(opts.alpha_1 / max(1.0, abs(ev_1.f)), opts.alpha_max)
 
     def step(x, ev, ws):
         nonlocal alpha_bar
@@ -475,14 +472,9 @@ def _bin_eigenvalues(values: list[float]) -> list[OccurrenceBin]:
     ``2**k`` times the values are the bins of the values times ``2**k``."""
     if not values:
         return []
-    ordered = sorted(values)
+    ordered = np.sort(values)
     gap = _EIGENVALUE_BIN_TOL * max(abs(ordered[0]), abs(ordered[-1]))
-    groups: list[list[float]] = [[ordered[0]]]
-    for lam in ordered[1:]:
-        if lam - groups[-1][-1] <= gap:
-            groups[-1].append(lam)
-        else:
-            groups.append([lam])
+    groups = np.split(ordered, np.flatnonzero(np.diff(ordered) > gap) + 1)
     total = len(values)
     return [OccurrenceBin(eigenvalue=float(np.median(g)), count=len(g),
                           share=len(g) / total)

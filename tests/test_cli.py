@@ -314,11 +314,19 @@ def test_out_path_that_is_a_directory_is_an_error(capsys, tmp_path, command):
     ({}, ["solve", "--input", "missing.txt", "--order", "2", "--dim", "2",
           "--btensor", "z", "--extreme", "min"],
      "cannot read missing.txt"),
+    ({"v.json": '{"m": 2, "n": 2, "v": [1, 2, 3]}'},
+     ["solve", "--input", "v.json", "--dim", "3",
+      "--btensor", "z", "--extreme", "min"],
+     "--dim 3 contradicts n=2"),
+    ({}, ["solve", "--btensor", "z", "--extreme", "min"],
+     "choose exactly one tensor source"),
     ({}, ["gen", "--family", "param"], "--family param needs --epsilon"),
+    ({}, ["gen", "--order", "4", "--dim", "5"], "--family"),
     ({}, ["bench", "--order", "4", "--dims", ","],
      "--dims must name at least one dimension"),
 ], ids=["txt-without-shape", "txt-non-number", "order-contradicts-json",
-        "missing-input", "param-without-epsilon", "empty-dims"])
+        "missing-input", "dim-contradicts-json", "no-source",
+        "param-without-epsilon", "gen-without-family", "empty-dims"])
 def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch, files, argv,
                              message):
     monkeypatch.chdir(tmp_path)
@@ -328,6 +336,16 @@ def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch, files, argv,
     assert code == 1
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+def test_step_cap_below_the_first_step_solves(capsys):
+    code, out, err = run(capsys, "solve", "--family", "sin", "--order", "4",
+                         "--dim", "5", "--btensor", "z", "--extreme", "min",
+                         "--alpha-max", "0.5", "--starts", "5", "--seed", "1")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["termination"] == "converged"
+    assert payload["manifest"]["options"]["alpha_max"] == 0.5
 
 
 def test_solve_rejects_odd_order(capsys):
@@ -468,6 +486,14 @@ def test_json_writer_refuses_non_finite_floats(bad):
 
     with pytest.raises(ValueError, match="non-finite"):
         _json_text({"x": bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_formatter_refuses_non_finite_floats(bad):
+    from hankeleig.cli import _format_float
+
+    with pytest.raises(ValueError, match="non-finite"):
+        _format_float(bad)
 
 
 def test_unknown_command_is_usage_error(capsys):

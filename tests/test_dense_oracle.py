@@ -19,7 +19,7 @@ from hankeleig.solver import Extreme, SolverOptions, multistart
 
 def test_materialize_third_order_two_dimensional():
     spec = HankelSpec(m=3, n=2, v=[10.0, 11.0, 12.0, 13.0])
-    t = materialize(spec).reshaped()
+    t = materialize(spec)
     v = spec.v
     expected = np.array([
         [[v[0], v[1]], [v[1], v[2]]],
@@ -30,13 +30,13 @@ def test_materialize_third_order_two_dimensional():
 
 def test_materialize_matrix_case():
     spec = HankelSpec(m=2, n=3, v=[1.0, 2.0, 3.0, 4.0, 5.0])
-    t = materialize(spec).reshaped()
+    t = materialize(spec)
     assert np.array_equal(t, [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
 
 
 def test_materialize_zero_vector():
     spec = HankelSpec(m=4, n=2, v=np.zeros(5))
-    assert not np.any(materialize(spec).entries)
+    assert not np.any(materialize(spec))
 
 
 def test_entry_cap():
@@ -49,7 +49,7 @@ def test_entries_symmetric_under_index_permutations():
     rng = np.random.default_rng(2)
     for m, n in [(3, 4), (4, 3), (5, 2)]:
         spec = HankelSpec(m=m, n=n, v=rng.standard_normal(m * (n - 1) + 1))
-        t = materialize(spec).reshaped()
+        t = materialize(spec)
         for _ in range(100):
             perm = rng.permutation(m)
             assert np.array_equal(t, np.transpose(t, perm))
@@ -71,7 +71,7 @@ def test_xm2_of_matrix_ignores_x():
     spec = HankelSpec(m=2, n=3, v=[1.0, 2.0, 3.0, 4.0, 5.0])
     t = materialize(spec)
     out = dense_xm2(t, np.array([9.0, -3.0, 4.0]))
-    assert np.array_equal(out, t.reshaped())
+    assert np.array_equal(out, t)
 
 
 def test_agrees_with_fft_example():

@@ -50,6 +50,12 @@ def test_parameterized_family_is_fixed_shape():
         FamilySpec(Family.SIN, 4, 5, epsilon=0.1)
 
 
+@pytest.mark.parametrize("m, n", [(1, 5), (4, 0)])
+def test_family_shape_is_checked(m, n):
+    with pytest.raises(ValueError, match="need m >= 2 and n >= 1"):
+        FamilySpec(Family.SIN, m, n)
+
+
 def test_vandermonde_family_closed_form():
     m, n = 4, 6
     spec = generate(FamilySpec(Family.VANDERMONDE, m, n))

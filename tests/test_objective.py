@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import random_unit
@@ -177,6 +179,40 @@ def test_rejects_nonpositive_reference_and_nonunit_x():
         evaluate(spec, cache, Z, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="unit vector"):
         residual(spec, cache, Z, np.array([1.0, 1.0]), 0.0)
+
+
+def _z_identity_with(xm=None, xm1=None):
+    """The Z identity as a custom reference tensor, with either product
+    replaced."""
+    return ReferenceProducts(
+        xm=xm or (lambda m, x: float(np.linalg.norm(x)) ** m),
+        xm1=xm1 or (lambda m, x: float(np.linalg.norm(x)) ** (m - 2) * x),
+    )
+
+
+NON_FINITE_REFERENCES = {
+    "xm-nan": _z_identity_with(xm=lambda m, x: math.nan),
+    "xm-inf": _z_identity_with(xm=lambda m, x: math.inf),
+    "xm1-nan": _z_identity_with(xm1=lambda m, x: np.full(x.size, math.nan)),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_FINITE_REFERENCES))
+def test_rejects_non_finite_reference_products(name):
+    # a NaN or infinite product would otherwise come out as a NaN or zero
+    # eigenvalue
+    spec = generate(FamilySpec(Family.SIN, 4, 5))
+    kind = NON_FINITE_REFERENCES[name]
+    x = random_unit(np.random.default_rng(3), 5)
+    with pytest.raises(InvalidReferenceTensorError):
+        evaluate(spec, make_cache(spec), kind, x)
+    with pytest.raises(InvalidReferenceTensorError):
+        solve(spec, kind, SolverOptions(seed=1))
+    out = multistart(spec, kind, SolverOptions(starts=3, seed=1))
+    assert out.results == [] and out.best is None
+    assert [i for i, _ in out.failures] == [0, 1, 2]
+    assert all(msg.startswith("InvalidReferenceTensorError: ")
+               for _, msg in out.failures)
 
 
 def test_unknown_reference_kind_raises():

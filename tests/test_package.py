@@ -55,7 +55,31 @@ def test_manifest_lists_the_options_in_order(capsys):
                      "--btensor", "z", "--extreme", "min", "--seed", "3"])
     assert code == 0
     options = json.loads(capsys.readouterr().out)["manifest"]["options"]
-    assert list(options) == ["eta", "beta", "alpha_max", "alpha_1", "tol_rel",
-                             "max_iter", "max_backtracks", "starts", "seed"]
+    assert list(options) == ["eta", "beta", "alpha_max", "tol_rel",
+                             "max_iter", "starts", "seed"]
     opts = SolverOptions(seed=3)
     assert all(value == getattr(opts, key) for key, value in options.items())
+
+
+def test_objects_holding_arrays_compare_and_hash_by_identity():
+    # an array field has no single truth value, so a field-wise == would
+    # raise; these objects are equal only to themselves
+    spec = fft_products.HankelSpec(2, 2, [1.0, 2.0, 3.0])
+    cache = fft_products.make_cache(spec)
+    opts = SolverOptions(seed=1)
+    x = [0.6, 0.8]
+    pairs = [
+        (spec, fft_products.HankelSpec(2, 2, [1.0, 2.0, 3.0])),
+        (cache, fft_products.make_cache(spec)),
+        (fft_products._workspace(spec, cache),
+         fft_products._workspace(spec, cache)),
+        (objective.evaluate(spec, cache, BTensorKind.Z_IDENTITY, x),
+         objective.evaluate(spec, cache, BTensorKind.Z_IDENTITY, x)),
+        (solver.solve(spec, BTensorKind.Z_IDENTITY, opts),
+         solver.solve(spec, BTensorKind.Z_IDENTITY, opts)),
+        (solver.multistart(spec, BTensorKind.Z_IDENTITY, opts),
+         solver.multistart(spec, BTensorKind.Z_IDENTITY, opts)),
+    ]
+    for one, twin in pairs:
+        assert one == one and one != twin, type(one).__name__
+        assert len({one, twin}) == 2

@@ -2,7 +2,7 @@ import math
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -172,11 +172,12 @@ class TestCurvilinearSearch:
         gnorm2 = float(ev.g @ ev.g)
         assert ev_new.f <= ev.f - opts.eta * alpha * gnorm2
 
-    def test_exhausted_backtracks_raise(self):
+    def test_exhausted_backtracks_raise(self, monkeypatch):
         spec, cache, x, ev = self._setup()
         # one huge trial (a near-antipodal move changes f by ~0 for even m)
         # against the strongest decrease demand cannot succeed
-        opts = SolverOptions(eta=0.5, max_backtracks=0)
+        monkeypatch.setattr(SolverOptions, "max_backtracks", 0)
+        opts = SolverOptions(eta=0.5)
         with pytest.raises(LineSearchStallError):
             curvilinear_search(spec, cache, Z, x, ev, opts.alpha_max, opts)
 
@@ -189,8 +190,8 @@ class TestCurvilinearSearch:
 class TestSolverOptions:
     @pytest.mark.parametrize("bad", [
         dict(eta=0.0), dict(eta=0.6), dict(beta=1.0), dict(beta=0.0),
-        dict(alpha_1=0.0), dict(alpha_1=2e4), dict(max_iter=0),
-        dict(starts=0), dict(tol_rel=0.0), dict(max_backtracks=-1),
+        dict(alpha_max=0.0), dict(alpha_max=-1.0), dict(max_iter=0),
+        dict(starts=0), dict(tol_rel=0.0), dict(tol_rel=-1.0),
         dict(tol_rel=math.nan), dict(tol_rel=math.inf),
         dict(alpha_max=math.nan), dict(alpha_max=math.inf),
         dict(seed=-1), dict(extreme="min"),
@@ -198,6 +199,21 @@ class TestSolverOptions:
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
+
+    @pytest.mark.parametrize("constant", ["alpha_1", "max_backtracks"])
+    def test_constants_are_not_settings(self, constant):
+        assert constant not in {f.name for f in fields(SolverOptions)}
+        with pytest.raises(TypeError):
+            SolverOptions(**{constant: getattr(SolverOptions, constant)})
+
+    def test_step_cap_below_the_first_step(self):
+        # the first search starts at alpha_1 / max(1, |f_1|), capped by
+        # alpha_max; a cap below alpha_1 is a valid setting
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        res = solve(spec, Z, SolverOptions(seed=1, alpha_max=1e-3))
+        assert res.termination is Termination.CONVERGED
+        assert all(r.alpha_k <= 1e-3 for r in res.trace)
+        assert res.trace[0].alpha_k == 1e-3 * 0.5 ** res.trace[0].backtracks
 
 
 class TestCacheBelongsToItsTensor:
@@ -549,6 +565,13 @@ class TestMultistart:
                    for _, msg in out.failures)
         assert len(out.results) == 2 and out.best is not None
 
+    def test_every_start_failing_gives_no_best_and_no_bins(self):
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        out = multistart(spec, _z_identity_zero_below(math.inf),
+                         SolverOptions(starts=3, seed=1))
+        assert out.best is None and out.results == [] and out.bins == []
+        assert [i for i, _ in out.failures] == [0, 1, 2]
+
     def test_cache_is_built_once_per_call(self, monkeypatch):
         spec = generate(FamilySpec(Family.SIN, 4, 5))
         real_make_cache = solver_mod.make_cache
@@ -588,6 +611,31 @@ class TestMultistart:
         assert len(base.bins) == 2
         assert scaled.bins == [replace(b, eigenvalue=math.ldexp(b.eigenvalue, k))
                                for b in base.bins]
+
+    def test_bins_equal_the_sequential_grouping(self):
+        # reference: walk the sorted values; a gap above the tolerance
+        # starts a new group
+        def reference(values):
+            ordered = sorted(values)
+            gap = solver_mod._EIGENVALUE_BIN_TOL * max(abs(ordered[0]),
+                                                       abs(ordered[-1]))
+            groups = [[ordered[0]]]
+            for lam in ordered[1:]:
+                if lam - groups[-1][-1] <= gap:
+                    groups[-1].append(lam)
+                else:
+                    groups.append([lam])
+            return [(float(np.median(g)), len(g), len(g) / len(values))
+                    for g in groups]
+
+        rng = np.random.default_rng(0)
+        for size in (1, 2, 5, 40):
+            # clusters whose gaps straddle the tolerance, 4e-6
+            values = list(rng.choice([-4.0, -1.0, 3.0], size)
+                          + 2e-5 * rng.standard_normal(size))
+            bins = solver_mod._bin_eigenvalues(values)
+            assert [(b.eigenvalue, b.count, b.share)
+                    for b in bins] == reference(values)
 
     def test_unknown_reference_tensor_is_raised(self):
         # the caller's error, not a failure of each start
@@ -638,11 +686,12 @@ class TestSolveStats:
             self._assert_transform_bound(res)
             assert res.stats.backtracks == sum(r.backtracks for r in res.trace)
 
-    def test_transforms_of_a_stalled_run(self):
+    def test_transforms_of_a_stalled_run(self, monkeypatch):
         # a tolerance no objective change can meet runs into the rounding
         # floor, where the last search rejects all its trials
         spec = generate(FamilySpec(Family.SIN, 4, 5))
-        opts = SolverOptions(seed=3, tol_rel=1e-300, max_backtracks=20)
+        monkeypatch.setattr(SolverOptions, "max_backtracks", 20)
+        opts = SolverOptions(seed=3, tol_rel=1e-300)
         res = solve(spec, Z, opts)
         assert res.termination is Termination.LINESEARCH_STALL
         self._assert_transform_bound(res)
@@ -804,12 +853,14 @@ class TestPowerMethodBaseline:
         (2, 0, (2, 2, 1, 1)),
         (3, 1, (3, 3, 2, 1)),
     ])
-    def test_stall_without_shift_doubling(self, seed, iterations, stats):
+    def test_stall_without_shift_doubling(self, monkeypatch, seed,
+                                          iterations, stats):
+        monkeypatch.setattr(SolverOptions, "max_backtracks", 0)
         spec = generate(FamilySpec(Family.SIN, 4, 5))
         x = random_unit(np.random.default_rng(seed), spec.n)
         res = solver_mod._iterate(
             spec, make_cache(spec), Z,
-            SolverOptions(extreme=Extreme.MAX, max_backtracks=0), x,
+            SolverOptions(extreme=Extreme.MAX), x,
             solver_mod._power_rule, shift=True)
         assert res.termination is Termination.LINESEARCH_STALL
         assert res.iterations == iterations
