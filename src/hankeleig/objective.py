@@ -133,7 +133,7 @@ def b_xm2(kind: BTensorKind, m: int, x: np.ndarray) -> np.ndarray:
 def _require_unit(x: np.ndarray, n: int) -> np.ndarray:
     x = _vector(x, n)
     nrm = _norm(x)
-    if abs(nrm - 1.0) > _UNIT_TOL:
+    if not abs(nrm - 1.0) <= _UNIT_TOL:  # a NaN norm fails it too
         raise ValueError(f"expected a unit vector, got norm {nrm!r}")
     return x
 

@@ -29,8 +29,9 @@ import numpy as np
 
 from .fft_products import (HankelSpec, SpectralCache, _norm, _vector,
                            _workspace, _Workspace, make_cache)
-from .objective import (BTensorKind, ObjectiveEval, ReferenceTensor,
-                        _evaluate, _gradient, _quotient)
+from .objective import (BTensorKind, InvalidReferenceTensorError,
+                        ObjectiveEval, ReferenceTensor, _evaluate, _gradient,
+                        _quotient)
 
 __all__ = [
     "Extreme",
@@ -89,6 +90,10 @@ class Termination(Enum):
     ZERO_GRADIENT = "zero_gradient"
 
 
+# The terminations of a run that found an eigenpair.
+_SUCCESS = (Termination.CONVERGED, Termination.ZERO_GRADIENT)
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Parameters of the curvilinear search.
@@ -123,14 +128,12 @@ class SolverOptions:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.starts < 1:
-            raise ValueError("starts must be at least 1")
+        for name in ("max_iter", "starts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not isinstance(self.extreme, Extreme):
-            raise ValueError(f"extreme must be an Extreme, got {self.extreme!r}")
+        _sign(self.extreme)  # refuses anything but an Extreme
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,11 +163,10 @@ class SolveStats:
     of points (the iterates and the trial points), not the cache build,
     where the product kernel runs them.  ``trials`` counts the candidate
     points tried and ``backtracks`` the rejected ones.  A curvilinear
-    search trial is the quotient of one forward transform, and only the
-    accepted trial adds the inverse transform of its gradient, so a run of
-    ``k`` iterations uses ``1 + trials`` forward and ``1 + k`` inverse
-    transforms.  The power iteration evaluates every trial in full, with
-    one transform of each kind.
+    trial, of either step rule, is the quotient of one forward transform,
+    and only the accepted trial adds the inverse transform of its gradient,
+    so a run of ``k`` iterations uses ``1 + trials`` forward and ``1 + k``
+    inverse transforms.
     """
 
     forward_transforms: int = 0
@@ -207,12 +209,18 @@ class MultistartOutcome:
 
 
 def _sign(extreme: Extreme) -> float:
+    if not isinstance(extreme, Extreme):
+        raise ValueError(f"extreme must be an Extreme, got {extreme!r}")
     return -1.0 if extreme is Extreme.MIN else 1.0
 
 
-def _check_alpha(alpha: float) -> None:
+def _step_args(x: np.ndarray, p, alpha: float) -> tuple[np.ndarray, float]:
+    """``(p, alpha * ||p||)`` for a ``p`` of the length of ``x`` and a
+    finite positive ``alpha``: the one check of both step functions."""
+    p = _vector(p, x.size, "p")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    return p, alpha * _norm(p)
 
 
 def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
@@ -226,9 +234,7 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
     combination of ``x`` and ``p``.
     """
     x = np.asarray(x, dtype=float)
-    p = _vector(p, x.size, "p")
-    _check_alpha(alpha)
-    t = alpha * _norm(p)
+    p, t = _step_args(x, p, alpha)
     u = t * t
     # (1 - u) / (1 + u) and 2 alpha / (1 + u) rewritten so huge
     # alpha*||p|| degrades to the antipode instead of overflowing to nan;
@@ -242,12 +248,10 @@ def step_length(x: np.ndarray, p: np.ndarray, alpha: float) -> float:
     """Distance ``||cayley_step(x, p, alpha) - x||``, in closed form.
 
     Equals ``2 t / sqrt(1 + t^2)`` with ``t = alpha * ||p||`` for a finite
-    positive ``alpha``; the same for both extreme variants.  ``x`` only
-    fixes the geometry and does not enter the value.
+    positive ``alpha`` and a ``p`` of the length of ``x``; the same for
+    both extreme variants.  ``x`` does not enter the value.
     """
-    del x
-    _check_alpha(alpha)
-    t = alpha * _norm(np.asarray(p, dtype=float))
+    _, t = _step_args(np.asarray(x, dtype=float), p, alpha)
     if t == math.inf:  # the antipodal limit, where inf / inf would be nan
         return 2.0
     return 2.0 * (t / math.hypot(1.0, t))
@@ -481,10 +485,12 @@ def _bin_eigenvalues(values: list[float]) -> list[OccurrenceBin]:
             for g in groups]
 
 
-def _best(results, extreme: Extreme) -> EigenResult:
-    """The result with the extreme eigenvalue, the first of equal ones."""
+def _best(results: list[EigenResult], extreme: Extreme) -> EigenResult:
+    """The result with the extreme eigenvalue among those that succeeded,
+    or among all if none did; the first of equal ones."""
     pick = min if extreme is Extreme.MIN else max
-    return pick(results, key=lambda r: r.eigenvalue)
+    done = [r for r in results if r.termination in _SUCCESS]
+    return pick(done or results, key=lambda r: r.eigenvalue)
 
 
 def multistart(spec: HankelSpec, kind: ReferenceTensor,
@@ -492,10 +498,10 @@ def multistart(spec: HankelSpec, kind: ReferenceTensor,
     """Run ``opts.starts`` independent solves from seeds ``seed + i``.
 
     The starts run one after another, in start order, on one shared
-    spectral cache, so the outcome is deterministic for a given seed.
-    Per-start failures are collected instead of aborting the sweep, except
-    input errors: :class:`ResultOverflowError` (eigenvalues that do not fit
-    a float64) and ``TypeError`` (an unknown reference tensor).
+    spectral cache, so the outcome is deterministic for a given seed.  A
+    start that meets a point where the reference tensor is not positive
+    definite (:class:`InvalidReferenceTensorError`) is filed as a failure;
+    any other error propagates.
     """
     _require_even(spec)
     cache = make_cache(spec)
@@ -506,9 +512,7 @@ def multistart(spec: HankelSpec, kind: ReferenceTensor,
             results.append(solve(spec, kind,
                                  replace(opts, seed=opts.seed + i, starts=1),
                                  cache=cache))
-        except (ResultOverflowError, TypeError):
-            raise
-        except Exception as exc:  # noqa: BLE001 - reported per start
+        except InvalidReferenceTensorError as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     best = _best(results, opts.extreme) if results else None
     bins = _bin_eigenvalues([r.eigenvalue for r in results])
@@ -536,11 +540,12 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
             nu = _norm(u)
             if nu > 0.0:
                 x_new = u / nu
-                ev_new = _evaluate(kind, x_new, ws)
                 ws.counts["trials"] += 1
-                if sgn * (ev_new.f - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):
-                    taken, shift = shift, max(shift, abs(ev_new.f) + 1.0)
-                    return x_new, ev_new, taken, repairs
+                f_new, hxm, bxm = _quotient(kind, x_new, ws)
+                if sgn * (f_new - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):
+                    taken, shift = shift, max(shift, abs(f_new) + 1.0)
+                    return (x_new, _gradient(kind, x_new, hxm, bxm, ws),
+                            taken, repairs)
             ws.counts["backtracks"] += 1
         raise LineSearchStallError(
             f"no monotone step within {opts.max_backtracks} shift doublings")
@@ -567,7 +572,7 @@ def power_method_baseline(spec: HankelSpec, kind: BTensorKind,
             "action and supports only the shipped kinds"
         )
     cache = make_cache(spec)
-    return _best((_iterate(spec, cache, kind, opts,
+    return _best([_iterate(spec, cache, kind, opts,
                            _start(spec.n, opts.seed + i), _power_rule,
                            shift=True)
-                  for i in range(opts.starts)), opts.extreme)
+                  for i in range(opts.starts)], opts.extreme)

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import struct
 import warnings
 
@@ -405,6 +407,45 @@ def test_verify_small_instance_passes(capsys):
                           "--trials", "100", "--seed", "1")
     assert code == 0
     assert "max relative error" in stdout
+
+
+def test_failed_write_names_the_path(capsys, tmp_path, monkeypatch):
+    # a full disk fails the write itself, after the temporary file exists
+    real_fdopen = os.fdopen
+
+    class Full:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: Full(real_fdopen(fd, mode)))
+    out = tmp_path / "v.txt"
+    code, _, err = run(capsys, "gen", "--family", "sin", "--order", "4",
+                       "--dim", "5", "--out", str(out))
+    assert code == 1
+    assert err == (f"error: [Errno {errno.ENOSPC}] "
+                   f"{os.strerror(errno.ENOSPC)}: {str(out)!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stalled_start_does_not_fail_a_converged_solve(capsys):
+    # start 0 stalls with a lambda 9e-16 relative above the best converged
+    # one; the best is chosen among the seven starts that converged
+    code, stdout, _ = run(capsys, "solve", "--family", "vandermonde",
+                          "--order", "4", "--dim", "1000", "--btensor", "z",
+                          "--extreme", "max", "--starts", "10", "--seed", "4")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["termination"] == "converged"
+    assert payload["lambda"] == pytest.approx(10197997.415291505, rel=1e-12)
 
 
 def test_verify_rejects_oversized_instance(capsys):

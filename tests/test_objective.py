@@ -181,6 +181,18 @@ def test_rejects_nonpositive_reference_and_nonunit_x():
         residual(spec, cache, Z, np.array([1.0, 1.0]), 0.0)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_non_finite_vector_is_not_a_unit_vector(entry):
+    # a NaN norm fails no "greater than" test; the check must refuse it
+    spec = generate(FamilySpec(Family.SIN, 4, 5))
+    cache = make_cache(spec)
+    x = np.full(spec.n, entry)
+    with pytest.raises(ValueError, match="expected a unit vector"):
+        evaluate(spec, cache, Z, x)
+    with pytest.raises(ValueError, match="expected a unit vector"):
+        residual(spec, cache, Z, x, 1.0)
+
+
 def _z_identity_with(xm=None, xm1=None):
     """The Z identity as a custom reference tensor, with either product
     replaced."""

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import tracemalloc
 import warnings
@@ -112,10 +113,22 @@ class TestCayleyStep:
             with pytest.raises(ValueError, match="finite and positive"):
                 step_length(x, p, alpha)
 
+    @pytest.mark.parametrize("extreme", ["min", "max", None])
+    def test_rejects_an_extreme_that_is_not_an_extreme(self, extreme):
+        # the string "min" would otherwise take the MAX direction
+        x, p = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match=re.escape(repr(extreme))):
+            cayley_step(x, p, 0.5, extreme)
+
 
 class TestStepLength:
     def test_zero_direction(self):
         assert step_length(np.array([1.0, 0.0]), np.zeros(2), 5.0) == 0.0
+
+    def test_rejects_a_direction_of_another_length(self):
+        # the closed form checks p against x as the step does
+        with pytest.raises(ValueError, match="p must have length n = 2"):
+            step_length(np.array([1.0, 0.0]), np.zeros(3), 0.5)
 
     def test_antipodal_limit(self):
         x = np.array([1.0, 0.0])
@@ -518,14 +531,77 @@ class TestMultistart:
         def flaky(spec_, kind_, opts_, x_1=None, **kwargs):
             calls.append(opts_.seed)
             if opts_.seed == 21:
-                raise RuntimeError("synthetic failure")
+                raise InvalidReferenceTensorError("synthetic failure")
             return real_solve(spec_, kind_, opts_, x_1, **kwargs)
 
         monkeypatch.setattr(solver_mod, "solve", flaky)
         out = multistart(spec, Z, SolverOptions(starts=4, seed=20))
         assert len(out.results) == 3
-        assert out.failures == [(1, "RuntimeError: synthetic failure")]
+        assert out.failures == [(1, "InvalidReferenceTensorError: "
+                                    "synthetic failure")]
         assert out.best is not None
+
+    def test_other_errors_propagate(self, monkeypatch):
+        # only a reference tensor that fails at a start's points is filed;
+        # any other error is the caller's, raised once
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        real_solve = solver_mod.solve
+        calls = []
+
+        def buggy(spec_, kind_, opts_, x_1=None, **kwargs):
+            calls.append(opts_.seed)
+            if opts_.seed == 21:
+                raise RuntimeError("synthetic bug")
+            return real_solve(spec_, kind_, opts_, x_1, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "solve", buggy)
+        with pytest.raises(RuntimeError, match="synthetic bug"):
+            multistart(spec, Z, SolverOptions(starts=4, seed=20))
+        assert calls == [20, 21]
+
+    @pytest.mark.parametrize("extreme,values,terminations,first", [
+        # a stalled start with the extreme value is passed over
+        (Extreme.MAX, [3.0, 2.0, 1.0], ["linesearch_stall", "converged",
+                                        "zero_gradient"], 1),
+        (Extreme.MIN, [1.0, 3.0, 2.0], ["max_iter", "zero_gradient",
+                                        "converged"], 2),
+        # with no start succeeding, the best is the extreme of all
+        (Extreme.MAX, [1.0, 3.0, 2.0], ["max_iter", "linesearch_stall",
+                                        "max_iter"], 1),
+    ])
+    def test_best_is_chosen_among_the_successful_starts(
+            self, monkeypatch, extreme, values, terminations, first):
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+
+        def fixed(i):
+            return EigenResult(eigenvalue=values[i], x=np.zeros(spec.n),
+                               residual=0.0, iterations=0,
+                               termination=Termination(terminations[i]))
+
+        monkeypatch.setattr(solver_mod, "solve",
+                            lambda spec_, kind_, opts_, **kw: fixed(opts_.seed))
+        opts = SolverOptions(starts=3, extreme=extreme)
+        out = multistart(spec, Z, opts)
+        assert out.best is out.results[first]
+        picked = []
+
+        def power(spec_, cache_, kind_, opts_, x, first_step, *, shift=False):
+            picked.append(fixed(len(picked)))
+            return picked[-1]
+
+        monkeypatch.setattr(solver_mod, "_iterate", power)
+        assert power_method_baseline(spec, Z, opts) is picked[first]
+
+    def test_stalled_start_is_not_the_best(self):
+        # start seed 4 stalls at relative residual 6e-11 with a lambda 9e-16
+        # relative above the best of the seven starts that converge
+        spec = generate(FamilySpec(Family.VANDERMONDE, 4, 1000))
+        out = multistart(spec, Z, SolverOptions(starts=10, seed=4,
+                                                extreme=Extreme.MAX))
+        assert out.results[0].termination is Termination.LINESEARCH_STALL
+        assert out.best.termination is Termination.CONVERGED
+        assert out.best.eigenvalue == pytest.approx(10197997.415291505,
+                                                    rel=1e-12)
 
     @pytest.mark.parametrize("extreme,values,first", [
         (Extreme.MIN, [2.0, 1.0, 1.0, 3.0], 1),
@@ -850,8 +926,8 @@ class TestPowerMethodBaseline:
             power_method_baseline(_sine(), "z", SolverOptions(starts=3))
 
     @pytest.mark.parametrize("seed,iterations,stats", [
-        (2, 0, (2, 2, 1, 1)),
-        (3, 1, (3, 3, 2, 1)),
+        (2, 0, (2, 1, 1, 1)),
+        (3, 1, (3, 2, 2, 1)),
     ])
     def test_stall_without_shift_doubling(self, monkeypatch, seed,
                                           iterations, stats):
@@ -891,8 +967,9 @@ class TestPowerMethodBaseline:
         a = multistart(spec, kind, opts)
         p = power_method_baseline(spec, kind, opts)
         assert isinstance(p, EigenResult)
-        assert p.stats.forward_transforms == p.stats.inverse_transforms \
-            == 1 + p.stats.trials
+        # a trial costs one forward transform, as in the search
+        assert p.stats.forward_transforms == 1 + p.stats.trials
+        assert p.stats.inverse_transforms == 1 + p.iterations
         assert p.eigenvalue == pytest.approx(a.best.eigenvalue, abs=1e-3)
         assert p.residual <= 1e-5
 
