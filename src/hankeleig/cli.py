@@ -75,8 +75,14 @@ def _json_text(obj) -> str:
 
 
 def _atomic_write(path: str, data: str | bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    # a path that exists and is not a regular file (a FIFO, a device such
+    # as /dev/null) is written in place, never replaced
     mode = "wb" if isinstance(data, bytes) else "w"
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode) as fh:
+            fh.write(data)
+        return
+    directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hankeleig-")

@@ -19,7 +19,9 @@ Every transform is ``numpy.fft``'s, which writes into a given ``out=``
 array (NumPy 2.0 and later).  A solver run allocates one workspace, two
 half-spectrum buffers of ``size//2 + 1`` complex entries, and transforms
 every point into it, so a trial point allocates no array the size of a
-spectrum.  Large temporaries freed after each trial were handed back to the
+spectrum.  The solver reads ``H x^{m-1}`` where the inverse transform
+leaves it, and a line search builds all its trial points in one vector of
+length ``n``.  Large temporaries freed after each trial were handed back to the
 operating system and faulted in again at the next.  The minor page faults
 left come from the transform's own scratch: measured at ``size = 80000``
 (a random order-4 tensor with ``n = 20000``) on a 2-core Xeon, each
@@ -244,13 +246,14 @@ def _xm_and_power(ws: _Workspace, x: np.ndarray) -> float:
 
 def _xm1_from_power(ws: _Workspace) -> np.ndarray:
     """``H x^{m-1}`` from the ``ws.power`` of :func:`_xm_and_power`, which
-    it consumes (one inverse transform, into ``ws.scratch``)."""
+    it consumes: one inverse transform into ``ws.scratch``, of which it
+    returns a view, valid until ``ws.scratch`` is used again."""
     cache, p = ws.cache, ws.power
     np.conjugate(p, out=p)
     p *= cache.vhat
     signal = np.fft.irfft(p, cache.size, out=ws.scratch.view(float)[: cache.size])
     ws.counts["inverse_transforms"] += 1
-    hxm1 = signal[: cache.spec.n].copy()
+    hxm1 = signal[: cache.spec.n]
     if cache.exponent:
         np.ldexp(hxm1, cache.exponent, out=hxm1)
     return hxm1
@@ -274,4 +277,4 @@ def hankel_xm1(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> np.ndar
     """
     ws = _workspace(spec, cache)
     _xm_and_power(ws, _vector(x, spec.n))
-    return _xm1_from_power(ws)
+    return _xm1_from_power(ws).copy()

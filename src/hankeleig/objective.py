@@ -70,14 +70,17 @@ ReferenceTensor = BTensorKind | ReferenceProducts
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveEval:
-    """One objective evaluation: value, gradient, and the four raw products."""
+    """One objective evaluation: value, gradient, the four raw products and
+    the residual ``||H x^{m-1} - f B x^{m-1}||``.  The search's evaluations
+    keep no vector products: their ``hxm1`` and ``bxm1`` are None."""
 
     f: float
     g: np.ndarray
     hxm: float
     bxm: float
-    hxm1: np.ndarray
-    bxm1: np.ndarray
+    hxm1: np.ndarray | None
+    bxm1: np.ndarray | None
+    residual: float
 
 
 def b_xm(kind: ReferenceTensor, m: int, x: np.ndarray) -> float:
@@ -148,14 +151,16 @@ def evaluate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     inverse transform: both Hankel products come from one spectrum of
     ``x``.
     """
-    return _evaluate(kind, _require_unit(x, spec.n), _workspace(spec, cache))
+    return _evaluate(kind, _require_unit(x, spec.n), _workspace(spec, cache),
+                     keep=True)
 
 
-def _evaluate(kind: ReferenceTensor, x: np.ndarray, ws: _Workspace) -> ObjectiveEval:
+def _evaluate(kind: ReferenceTensor, x: np.ndarray, ws: _Workspace,
+              keep: bool = False) -> ObjectiveEval:
     """:func:`evaluate` at a unit ``x``: :func:`_gradient` of
     :func:`_quotient`, in the workspace ``ws``."""
     _, hxm, bxm = _quotient(kind, x, ws)
-    return _gradient(kind, x, hxm, bxm, ws)
+    return _gradient(kind, x, hxm, bxm, ws, keep)
 
 
 def _quotient(kind: ReferenceTensor, x: np.ndarray,
@@ -177,29 +182,36 @@ def _quotient(kind: ReferenceTensor, x: np.ndarray,
 
 
 def _gradient(kind: ReferenceTensor, x: np.ndarray, hxm: float, bxm: float,
-              ws: _Workspace) -> ObjectiveEval:
+              ws: _Workspace, keep: bool = False) -> ObjectiveEval:
     """The :class:`ObjectiveEval` at the ``x`` of the last :func:`_quotient`
-    in ``ws``, from one inverse transform.  The gradient is built in place,
-    with its one temporary in ``ws``."""
+    in ``ws``, from one inverse transform.  ``H x^{m-1}`` is read where the
+    transform leaves it in ``ws`` and the gradient is built in the buffer
+    of ``B x^{m-1}``, so the evaluation allocates one vector; ``keep``
+    keeps both products in the result, at the cost of two more."""
     hxm1 = _xm1_from_power(ws)
     bxm1 = b_xm1(kind, ws.cache.spec.m, x)
     f = hxm / bxm
-    # g = (m / bxm) * (hxm1 - f * bxm1), built in place
-    g = f * bxm1
+    # g = (m / bxm) * (hxm1 - f * bxm1), built in place; a custom B x^{m-1}
+    # may be an array its owner keeps
+    own = keep or isinstance(kind, ReferenceProducts)
+    g = np.multiply(f, bxm1, out=None if own else bxm1)
     np.subtract(hxm1, g, out=g)
+    res = _norm(g)
     g *= ws.cache.spec.m / bxm
     # The formula is tangent in exact arithmetic; subtracting the normal
     # component removes roundoff that would otherwise dwarf the gradient
     # once the iterate approaches an eigenvector.
     g -= np.multiply(x @ g, x, out=ws.power.view(float)[: x.size])
-    return ObjectiveEval(f=f, g=g, hxm=hxm, bxm=bxm, hxm1=hxm1, bxm1=bxm1)
+    kept = (hxm1.copy(), bxm1) if keep else (None, None)
+    return ObjectiveEval(f, g, hxm, bxm, *kept, res)
 
 
 def residual(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
              x: np.ndarray, lam: float) -> float:
     """Eigenpair residual ``||H x^{m-1} - lam * B x^{m-1}||`` at a unit vector.
 
-    When ``lam == f(x)`` this equals ``B x^m / m`` times the norm of the
+    When ``lam == f(x)`` this is the ``residual`` of :func:`evaluate` at
+    ``x`` to the last bit, and equals ``B x^m / m`` times the norm of the
     quotient-gradient formula (as reconstructible from an
     :class:`ObjectiveEval`'s product fields), so a small gradient certifies
     a small residual.

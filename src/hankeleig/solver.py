@@ -21,6 +21,7 @@ is the run on ``v`` scaled by ``2**k``, to the last bit.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -268,14 +269,15 @@ def _step_args(x: np.ndarray, p, alpha: float) -> tuple[np.ndarray, float]:
 
 
 def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
-                extreme: Extreme) -> np.ndarray:
+                extreme: Extreme, out: np.ndarray | None = None) -> np.ndarray:
     """Move along the sphere-preserving Cayley curve.
 
     For the MIN variant ``x+ = ((1 - a) x - 2 alpha p) / (1 + a)`` with
     ``a = alpha^2 ||p||^2``; the MAX variant flips the sign of the ``p``
     term.  For a unit ``x`` and a tangent ``p`` the result is unit to
     rounding and is not renormalised: a trial point is exactly a linear
-    combination of ``x`` and ``p``.
+    combination of ``x`` and ``p``.  It is written into ``out``, an array
+    of the shape of ``x`` that may be ``x`` or ``p``, if one is given.
     """
     x = np.asarray(x, dtype=float)
     p, t = _step_args(x, p, alpha)
@@ -285,7 +287,10 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
     # the factor 2, a power of two, commutes with rounding.
     cx = 2.0 / (1.0 + u) - 1.0
     cp = 2.0 * (alpha / (1.0 + u))
-    return cx * x + _sign(extreme) * cp * p
+    if cp == math.inf:  # alpha near the float64 limit, p = 0: not inf * 0
+        cp = sys.float_info.max
+    step = (_sign(extreme) * cp) * p
+    return np.add(np.multiply(x, cx, out), step, out)
 
 
 def step_length(x: np.ndarray, p: np.ndarray, alpha: float) -> float:
@@ -328,11 +333,13 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
     the mirrored inequality for MAX).  Returns ``(alpha, x+, eval+, j)``.
     A trial is the quotient of one forward transform; only the accepted
     one adds the inverse transform of ``eval+``, so ``B x^m`` is taken once
-    per trial.  The transforms run in ``workspace``, which carries the
-    cache, from :func:`~hankeleig.fft_products._workspace` (a fresh one of
-    ``spec`` and ``cache`` if it is not given); it is free again on return
-    and counts the trials, backtracks and transforms.  :func:`solve` passes
-    one workspace to every search of a run.
+    per trial.  Every trial is built in one vector, which becomes ``x+``,
+    and ``eval+`` keeps the residual, not the vector products.  The
+    transforms run in ``workspace``, which carries the cache, from
+    :func:`~hankeleig.fft_products._workspace` (a fresh one of ``spec`` and
+    ``cache`` if it is not given); it is free again on return and counts
+    the trials, backtracks and transforms.  :func:`solve` passes one
+    workspace to every search of a run.
 
     Raises :class:`LineSearchStallError` after ``max_backtracks`` rejected
     trials; that signals the decrease has fallen below rounding resolution.
@@ -345,9 +352,10 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
     sgn = _sign(opts.extreme)
     f_k = eval_k.f
     gnorm2 = float(g @ g)
+    x_trial = np.empty_like(x_k)
     for j in range(opts.max_backtracks + 1):
         alpha = alpha_bar * opts.beta ** j
-        x_trial = cayley_step(x_k, g, alpha, opts.extreme)
+        cayley_step(x_k, g, alpha, opts.extreme, out=x_trial)
         ws.counts["trials"] += 1
         f_trial, hxm, bxm = _quotient(kind, x_trial, ws)
         # Strict inequality keeps the trace strictly monotone even when the
@@ -402,13 +410,14 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     ``2**-e``, or, when ``shift`` says they are the power iteration's
     shifts, in the units of lambda, by ``2**e``; a step that overflows
     reads ``inf``.  Raises :class:`ResultOverflowError` when lambda, the
-    residual or a gradient norm does not fit a float64 once scaled.
+    residual or a gradient norm does not fit a float64 once scaled.  Only
+    the power iteration's evaluations keep the vector products it reads.
     """
     exponent = cache.exponent
     if exponent:
         cache = replace(cache, exponent=0)
     ws = _workspace(spec, cache)
-    ev = _evaluate(kind, x, ws)
+    ev = _evaluate(kind, x, ws, keep=shift)
     step = first_step(spec, cache, kind, opts, ev)
     tol = opts.tol_rel * math.sqrt(spec.n)
     rows: list[tuple[float, float, float, int]] = []
@@ -438,9 +447,7 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     iterations = len(rows)
     rows.append((ev.f, gnorm, 0.0, 0))
     trace = np.array(rows, dtype=_ROW)
-    lam = ev.f
-    # ||H x^{m-1} - f B x^{m-1}|| from the products ev holds
-    res = _norm(ev.hxm1 - ev.f * ev.bxm1)
+    lam, res = ev.f, ev.residual
     if exponent:
         with np.errstate(over="ignore"):
             lam, res = np.ldexp([lam, res], exponent).tolist()
@@ -579,8 +586,8 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
                 f_new, hxm, bxm = _quotient(kind, x_new, ws)
                 if sgn * (f_new - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):
                     taken, shift = shift, max(shift, abs(f_new) + 1.0)
-                    return (x_new, _gradient(kind, x_new, hxm, bxm, ws),
-                            taken, repairs)
+                    ev_new = _gradient(kind, x_new, hxm, bxm, ws, keep=True)
+                    return x_new, ev_new, taken, repairs
             ws.counts["backtracks"] += 1
         raise LineSearchStallError(
             f"no monotone step within {opts.max_backtracks} shift doublings")

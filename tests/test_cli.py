@@ -2,7 +2,9 @@ import errno
 import json
 import math
 import os
+import stat
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -299,6 +301,26 @@ def test_out_path_that_is_a_directory_is_an_error(capsys, tmp_path, command):
     # the temporary file is gone
     assert list(tmp_path.iterdir()) == [out]
     assert list(out.iterdir()) == []
+
+
+def test_out_path_that_is_a_fifo_is_written_in_place(capsys, tmp_path):
+    # a path that is not a regular file (a FIFO here, a device such as
+    # /dev/null in use) is written, not replaced by a renamed temporary
+    argv = ["gen", "--family", "sin", "--order", "4", "--dim", "5", "--out"]
+    regular = tmp_path / "v.txt"
+    assert run(capsys, *argv, str(regular))[0] == 0
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    code, _, _ = run(capsys, *argv, str(fifo))
+    reader.join(timeout=30)
+    assert code == 0
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [regular.read_bytes()]
+    assert sorted(tmp_path.iterdir()) == [fifo, regular]
 
 
 @pytest.mark.parametrize("files, argv, message", [

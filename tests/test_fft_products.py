@@ -267,9 +267,10 @@ def test_product_time_scales_like_n_log_n():
 
 
 def test_products_in_a_workspace_allocate_no_spectrum():
-    # The transforms run in the two workspace buffers, so the pair allocates
-    # only the length-n copy of H x^{m-1}: nothing as long as a half
-    # spectrum of floats, let alone a signal or a complex half spectrum.
+    # The transforms run in the two workspace buffers, and H x^{m-1} is
+    # read where the inverse transform leaves it, so the pair allocates
+    # nothing as long as a half spectrum of floats, let alone a signal or
+    # a complex half spectrum.
     m, n = 4, 20000
     rng = np.random.default_rng(5)
     spec = HankelSpec(m=m, n=n, v=rng.standard_normal(m * (n - 1) + 1))

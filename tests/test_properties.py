@@ -2,10 +2,12 @@
 
 Scaling ``v`` by ``2**k`` scales every eigenvalue by ``2**k`` and leaves
 the eigenvectors alone; negating ``v`` swaps the smallest and the largest
-eigenvalue; reversing ``v`` reverses the index order of the tensor.
+eigenvalue; reversing ``v`` reverses the index order of the tensor.  A
+trial point built in a reused buffer is the fresh Cayley step.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from hankeleig.fft_products import HankelSpec, hankel_xm, hankel_xm1, make_cache
 from hankeleig.objective import BTensorKind, evaluate
-from hankeleig.solver import Extreme, SolverOptions, solve
+from hankeleig.solver import Extreme, SolverOptions, cayley_step, solve
 
 KINDS = st.sampled_from(list(BTensorKind))
 EXTREMES = st.sampled_from(list(Extreme))
@@ -92,3 +94,30 @@ def test_reversed_vector_reverses_the_products(spec, seed):
         tol = 1e-13 * spec.m * scale / a.bxm
         assert abs(a.f - b.f) <= tol
         assert np.max(np.abs(a.g - b.g[::-1])) <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 16), extreme=EXTREMES,
+       alpha=st.floats(-12, 12).map(lambda e: 10.0 ** e) | st.just(1e308))
+def test_a_trial_built_in_a_buffer_is_the_fresh_step(n, seed, extreme, alpha):
+    # The search builds every trial of a search in one buffer, over the
+    # last trial's entries.  Each is the step's formula with every product
+    # rounded once, as written here; 1e308 is the antipodal limit, and at
+    # n = 1 the tangent g is zero.
+    x = _unit(seed, n)
+    g = np.random.default_rng(seed + 1).standard_normal(n)
+    g -= (x @ g) * x
+    t = alpha * float(np.linalg.norm(g))
+    u = t * t
+    sgn = -1.0 if extreme is Extreme.MIN else 1.0
+    fresh = cayley_step(x, g, alpha, extreme)
+    cp = min(2.0 * (alpha / (1.0 + u)), sys.float_info.max)
+    assert np.array_equal(fresh, (2.0 / (1.0 + u) - 1.0) * x + sgn * cp * g)
+    buf = np.random.default_rng(seed + 2).standard_normal(n)
+    assert cayley_step(x, g, alpha, extreme, out=buf) is buf
+    assert np.array_equal(buf, fresh)
+    # the buffer may be either operand
+    for slot in (0, 1):
+        pair = [x.copy(), g.copy()]
+        cayley_step(*pair, alpha, extreme, out=pair[slot])
+        assert np.array_equal(pair[slot], fresh)
