@@ -21,18 +21,16 @@ half-spectrum buffers of ``size//2 + 1`` complex entries, and transforms
 every point into it, so a trial point allocates no array the size of a
 spectrum.  The solver reads ``H x^{m-1}`` where the inverse transform
 leaves it, and a line search builds all its trial points in one vector of
-length ``n``.  Large temporaries freed after each trial were handed back to the
-operating system and faulted in again at the next.  The minor page faults
-left come from the transform's own scratch: measured at ``size = 80000``
-(a random order-4 tensor with ``n = 20000``) on a 2-core Xeon, each
-``numpy.fft`` transform takes 281, from pocketfft's per-call buffer.  They
-go to 0 once glibc has freed one mapped block larger than that buffer,
-since its dynamic mmap threshold then rises above it; ``rfft`` and
-``irfft`` then take about 0.65 ms instead of 1.0-1.7 ms.  A loop of warm
-solves in a fresh interpreter takes about 46,000 faults and 0.31 s a call;
-a process whose earlier, larger temporaries have already raised the
-threshold takes about 1,200.  The public products allocate a workspace per
-call.
+length ``n``.  The minor page faults of a run come from the transform's
+own scratch: measured at ``size = 80000`` (a random order-4 tensor with
+``n = 20000``) on a 2-core Xeon, each ``numpy.fft`` transform takes 281,
+from pocketfft's per-call buffer.  They go to 0 once glibc has freed one
+mapped block larger than that buffer, since its dynamic mmap threshold
+then rises above it; ``rfft`` and ``irfft`` then take about 0.65 ms
+instead of 1.0-1.7 ms.  A loop of warm solves in a fresh interpreter
+takes about 46,000 faults and 0.31 s a call; a process whose earlier,
+larger temporaries have already raised the threshold takes about 1,200.
+The public products allocate a workspace per call.
 
 DFT convention: forward transforms are unnormalised and inverse transforms
 carry the ``1/size`` factor (the numpy default).

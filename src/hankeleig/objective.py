@@ -71,8 +71,8 @@ ReferenceTensor = BTensorKind | ReferenceProducts
 @dataclass(frozen=True, eq=False)
 class ObjectiveEval:
     """One objective evaluation: value, gradient, the four raw products and
-    the residual ``||H x^{m-1} - f B x^{m-1}||``.  The search's evaluations
-    keep no vector products: their ``hxm1`` and ``bxm1`` are None."""
+    the residual ``||H x^{m-1} - f B x^{m-1}||``.  Only :func:`evaluate`
+    keeps the vector products; the solver's ``hxm1`` and ``bxm1`` are None."""
 
     f: float
     g: np.ndarray
@@ -96,11 +96,11 @@ def b_xm(kind: ReferenceTensor, m: int, x: np.ndarray) -> float:
 
 
 def b_xm1(kind: ReferenceTensor, m: int, x: np.ndarray) -> np.ndarray:
-    """Vector product ``B x^{m-1}``; a custom one must have the length of
-    ``x``."""
+    """Vector product ``B x^{m-1}``, in an array the caller may overwrite
+    (a copy of a custom one, which must have the length of ``x``)."""
     x = np.asarray(x, dtype=float)
     if isinstance(kind, ReferenceProducts):
-        bxm1 = _vector(kind.xm1(m, x), x.size, "B x^{m-1}")
+        bxm1 = _vector(kind.xm1(m, x), x.size, "B x^{m-1}").copy()
         if not np.isfinite(bxm1).all():
             raise InvalidReferenceTensorError(
                 "B x^{m-1} has a NaN or infinite entry")
@@ -185,16 +185,14 @@ def _gradient(kind: ReferenceTensor, x: np.ndarray, hxm: float, bxm: float,
               ws: _Workspace, keep: bool = False) -> ObjectiveEval:
     """The :class:`ObjectiveEval` at the ``x`` of the last :func:`_quotient`
     in ``ws``, from one inverse transform.  ``H x^{m-1}`` is read where the
-    transform leaves it in ``ws`` and the gradient is built in the buffer
-    of ``B x^{m-1}``, so the evaluation allocates one vector; ``keep``
-    keeps both products in the result, at the cost of two more."""
+    transform leaves it and g is built in the buffer of ``B x^{m-1}``, one
+    of its own for every kind, so the evaluation allocates one vector; only
+    :func:`evaluate` sets ``keep``, which keeps both products, two more."""
     hxm1 = _xm1_from_power(ws)
     bxm1 = b_xm1(kind, ws.cache.spec.m, x)
     f = hxm / bxm
-    # g = (m / bxm) * (hxm1 - f * bxm1), built in place; a custom B x^{m-1}
-    # may be an array its owner keeps
-    own = keep or isinstance(kind, ReferenceProducts)
-    g = np.multiply(f, bxm1, out=None if own else bxm1)
+    # g = (m / bxm) * (hxm1 - f * bxm1), built in place
+    g = np.multiply(f, bxm1, out=None if keep else bxm1)
     np.subtract(hxm1, g, out=g)
     res = _norm(g)
     g *= ws.cache.spec.m / bxm

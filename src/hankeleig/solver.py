@@ -33,7 +33,7 @@ from .fft_products import (HankelSpec, SpectralCache, _norm, _vector,
                            _workspace, _Workspace, make_cache)
 from .objective import (BTensorKind, InvalidReferenceTensorError,
                         ObjectiveEval, ReferenceTensor, _evaluate, _gradient,
-                        _quotient)
+                        _quotient, b_xm1)
 
 __all__ = [
     "Extreme",
@@ -261,11 +261,17 @@ def _sign(extreme: Extreme) -> float:
 
 def _step_args(x: np.ndarray, p, alpha: float) -> tuple[np.ndarray, float]:
     """``(p, alpha * ||p||)`` for a ``p`` of the length of ``x`` and a
-    finite positive ``alpha``: the one check of both step functions."""
+    finite positive ``alpha``: the one check of both step functions.  A
+    norm whose squares under- or overflow is taken on ``p * 2**-e``."""
     p = _vector(p, x.size, "p")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    return p, alpha * _norm(p)
+    # _norm's dot on a contiguous p (every gradient), with no overflow warning
+    nrm = math.sqrt(np.vdot(p, p))
+    if not 1e-150 <= nrm < math.inf and p.any():
+        e = math.frexp(np.max(np.abs(p)))[1]
+        nrm = math.ldexp(_norm(np.ldexp(p, -e)), e)
+    return p, alpha * nrm
 
 
 def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
@@ -394,8 +400,7 @@ def _require_even(spec: HankelSpec) -> None:
 
 
 def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
-             opts: SolverOptions, x: np.ndarray, first_step, *,
-             shift: bool = False) -> EigenResult:
+             opts: SolverOptions, x: np.ndarray, first_step) -> EigenResult:
     """The one iteration loop, from the unit start ``x``.
 
     ``first_step(spec, cache, kind, opts, ev_1)`` returns the step rule
@@ -406,18 +411,16 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     0), in one workspace, whose counts become its :class:`SolveStats`.
     Each iteration appends a tuple to the trace, which is packed into one
     array of ``_ROW`` when the run ends.  The result is scaled back:
-    lambda, the residual and the trace by ``2**e``, trace steps by
-    ``2**-e``, or, when ``shift`` says they are the power iteration's
-    shifts, in the units of lambda, by ``2**e``; a step that overflows
-    reads ``inf``.  Raises :class:`ResultOverflowError` when lambda, the
-    residual or a gradient norm does not fit a float64 once scaled.  Only
-    the power iteration's evaluations keep the vector products it reads.
+    lambda, the residual and the trace by ``2**e``, and the trace's steps,
+    which scale as ``1/lambda``, by ``2**-e``; a step that overflows reads
+    ``inf``.  Raises :class:`ResultOverflowError` when lambda, the residual
+    or a gradient norm does not fit a float64 once scaled.
     """
     exponent = cache.exponent
     if exponent:
         cache = replace(cache, exponent=0)
     ws = _workspace(spec, cache)
-    ev = _evaluate(kind, x, ws, keep=shift)
+    ev = _evaluate(kind, x, ws)
     step = first_step(spec, cache, kind, opts, ev)
     tol = opts.tol_rel * math.sqrt(spec.n)
     rows: list[tuple[float, float, float, int]] = []
@@ -452,7 +455,7 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
         with np.errstate(over="ignore"):
             lam, res = np.ldexp([lam, res], exponent).tolist()
             for name, e in (("lambda_k", exponent), ("grad_norm", exponent),
-                            ("alpha_k", exponent if shift else -exponent)):
+                            ("alpha_k", -exponent)):
                 np.ldexp(trace[name], e, out=trace[name])
         if not (math.isfinite(lam) and math.isfinite(res)
                 and np.isfinite(trace["lambda_k"]).all()
@@ -573,21 +576,23 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
 
     def step(x, ev, ws):
         nonlocal shift
+        # u = s H x^{m-1} + shift B x^{m-1}, by H x^{m-1} = (B x^m / m) g
+        # + f B x^{m-1} up to roundoff; x @ u = (s f + shift) B x^m > 0
+        bx = b_xm1(kind, spec.m, x)
         for repairs in range(opts.max_backtracks + 1):
             if repairs:
                 shift *= 2.0
-            u = sgn * ev.hxm1 + shift * ev.bxm1
+            u = np.multiply(sgn * ev.bxm / spec.m, ev.g)
+            u += (sgn * ev.f + shift) * bx
             if kind is not BTensorKind.Z_IDENTITY:
                 u = np.sign(u) * np.abs(u) ** root
-            nu = _norm(u)
-            if nu > 0.0:
-                x_new = u / nu
-                ws.counts["trials"] += 1
-                f_new, hxm, bxm = _quotient(kind, x_new, ws)
-                if sgn * (f_new - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):
-                    taken, shift = shift, max(shift, abs(f_new) + 1.0)
-                    ev_new = _gradient(kind, x_new, hxm, bxm, ws, keep=True)
-                    return x_new, ev_new, taken, repairs
+            x_new = u / _norm(u)
+            ws.counts["trials"] += 1
+            f_new, hxm, bxm = _quotient(kind, x_new, ws)
+            if sgn * (f_new - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):
+                taken, shift = 1.0 / shift, max(shift, abs(f_new) + 1.0)
+                ev_new = _gradient(kind, x_new, hxm, bxm, ws)
+                return x_new, ev_new, taken, repairs
             ws.counts["backtracks"] += 1
         raise LineSearchStallError(
             f"no monotone step within {opts.max_backtracks} shift doublings")
@@ -603,9 +608,9 @@ def power_method_baseline(spec: HankelSpec, kind: BTensorKind,
     (taken through the entrywise ``(m-1)``-th root for the diagonal reference
     tensor), with ``s`` the extreme's sign.  The shift adapts by doubling
     whenever the objective fails to move monotonically, so no Hessian is
-    needed.  In the trace, ``alpha_k`` holds the shift and ``backtracks`` the
-    number of shift doublings.  Intended only as a cross-check for the
-    curvilinear search.
+    needed.  The trace's ``alpha_k`` is the step ``1/shift`` of the map, as
+    ``x+`` is a multiple of ``x + s H x^{m-1} / shift`` for the Z identity,
+    and ``backtracks`` counts the shift doublings.  Only a cross-check.
     """
     _require_even(spec)
     if not isinstance(kind, BTensorKind):
@@ -615,6 +620,5 @@ def power_method_baseline(spec: HankelSpec, kind: BTensorKind,
         )
     cache = make_cache(spec)
     return _best([_iterate(spec, cache, kind, opts,
-                           _start(spec.n, opts.seed + i), _power_rule,
-                           shift=True)
+                           _start(spec.n, opts.seed + i), _power_rule)
                   for i in range(opts.starts)], opts.extreme)

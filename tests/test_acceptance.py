@@ -6,11 +6,10 @@ to see them).
 """
 
 import math
-import time
 
 import numpy as np
 import pytest
-from conftest import raw_quotient_gradient, random_unit
+from conftest import product_time_ratio, raw_quotient_gradient, random_unit
 
 from hankeleig.dense_oracle import dense_hessian, dense_xm, dense_xm1, materialize
 from hankeleig.fft_products import HankelSpec, hankel_xm, hankel_xm1, make_cache
@@ -244,14 +243,7 @@ def test_criterion_9_product_time_scaling():
         x = rng.standard_normal(n)
         hankel_xm1(cache, spec, x)
         setups.append((spec, cache, x))
-    samples = [[], []]
-    # interleaved so both sizes face the same machine noise
-    for _ in range(20):
-        for slot, (spec, cache, x) in enumerate(setups):
-            tic = time.perf_counter()
-            hankel_xm1(cache, spec, x)
-            samples[slot].append(time.perf_counter() - tic)
-    small, big = (float(np.median(s)) for s in samples)
-    assert big <= 3.0 * small, (small, big)
-    print(f"\nPASS criterion 9: {small * 1e3:.1f} ms at 2^16 -> "
-          f"{big * 1e3:.1f} ms at 2^17 (ratio {big / small:.2f})")
+    # the median of 20 interleaved samples each, in up to three rounds
+    ratio = product_time_ratio(*setups, reps=20, bound=3.0)
+    assert ratio <= 3.0, ratio
+    print(f"\nPASS criterion 9: time at 2^17 over 2^16 = {ratio:.2f}")

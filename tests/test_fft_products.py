@@ -3,13 +3,13 @@ import os
 import re
 import subprocess
 import sys
-import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import product_time_ratio
 
 from hankeleig.dense_oracle import (dense_hessian, dense_xm, dense_xm1,
                                     dense_xm2, materialize)
@@ -246,7 +246,8 @@ def test_x_length_checked():
 
 def test_product_time_scales_like_n_log_n():
     # doubling the dimension must cost at most 3x (median of 20, measured
-    # interleaved so both sizes see the same machine noise)
+    # interleaved so both sizes see the same machine noise, in up to three
+    # rounds)
     m = 4
     rng = np.random.default_rng(9)
     setups = []
@@ -256,14 +257,8 @@ def test_product_time_scales_like_n_log_n():
         x = rng.standard_normal(n)
         hankel_xm1(cache, spec, x)
         setups.append((spec, cache, x))
-    samples = [[], []]
-    for _ in range(20):
-        for slot, (spec, cache, x) in enumerate(setups):
-            tic = time.perf_counter()
-            hankel_xm1(cache, spec, x)
-            samples[slot].append(time.perf_counter() - tic)
-    small, big = (float(np.median(s)) for s in samples)
-    assert big <= 3.0 * small, f"time at 2n = {big:.4f}s vs {small:.4f}s at n"
+    ratio = product_time_ratio(*setups, reps=20, bound=3.0)
+    assert ratio <= 3.0, f"time at 2n over time at n = {ratio:.2f}"
 
 
 def test_products_in_a_workspace_allocate_no_spectrum():

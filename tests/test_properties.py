@@ -3,7 +3,8 @@
 Scaling ``v`` by ``2**k`` scales every eigenvalue by ``2**k`` and leaves
 the eigenvectors alone; negating ``v`` swaps the smallest and the largest
 eigenvalue; reversing ``v`` reverses the index order of the tensor.  A
-trial point built in a reused buffer is the fresh Cayley step.
+trial point built in a reused buffer is the fresh Cayley step, and the
+power step is rebuilt from an evaluation that keeps no vector product.
 """
 
 import math
@@ -14,8 +15,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankeleig.fft_products import HankelSpec, hankel_xm, hankel_xm1, make_cache
-from hankeleig.objective import BTensorKind, evaluate
+from hankeleig.fft_products import (HankelSpec, _workspace, hankel_xm,
+                                    hankel_xm1, make_cache)
+from hankeleig.objective import BTensorKind, _evaluate, b_xm1, evaluate
 from hankeleig.solver import Extreme, SolverOptions, cayley_step, solve
 
 KINDS = st.sampled_from(list(BTensorKind))
@@ -121,3 +123,23 @@ def test_a_trial_built_in_a_buffer_is_the_fresh_step(n, seed, extreme, alpha):
         pair = [x.copy(), g.copy()]
         cayley_step(*pair, alpha, extreme, out=pair[slot])
         assert np.array_equal(pair[slot], fresh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=specs(), kind=KINDS, extreme=EXTREMES, seed=st.integers(0, 2 ** 16),
+       extra=st.floats(0.0, 1e3))
+def test_the_power_step_from_the_lean_evaluation(spec, kind, extreme, seed,
+                                                 extra):
+    # The power rule takes u = s H x^{m-1} + shift B x^{m-1} from f, g and
+    # B x^m, as H x^{m-1} = (B x^m / m) g + f B x^{m-1} up to roundoff; a
+    # shift of at least |f| + 1 keeps u off zero (x @ u >= B x^m)
+    cache = make_cache(spec)
+    x = _unit(seed, spec.n)
+    ev = _evaluate(kind, x, _workspace(spec, cache))
+    assert ev.hxm1 is None and ev.bxm1 is None
+    s = -1.0 if extreme is Extreme.MIN else 1.0
+    shift = abs(ev.f) + 1.0 + extra
+    bx = b_xm1(kind, spec.m, x)
+    lean = (s * ev.bxm / spec.m) * ev.g + (s * ev.f + shift) * bx
+    u = s * hankel_xm1(cache, spec, x) + shift * bx
+    assert np.linalg.norm(lean - u) <= 1e-12 * np.linalg.norm(u)

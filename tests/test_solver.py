@@ -117,6 +117,23 @@ class TestCayleyStep:
             with pytest.raises(ValueError, match="finite and positive"):
                 step_length(x, p, alpha)
 
+    @pytest.mark.parametrize("p, alpha, t", [
+        (1e-170, 1e168, 1e-2), (1e200, 1e-200, 1.0),
+    ], ids=["underflow", "overflow"])
+    def test_a_norm_whose_square_leaves_the_range(self, p, alpha, t):
+        # ||p||^2 underflows to 0 or overflows to inf in a plain dot; the
+        # step is that of the exact norm, t = alpha * ||p||, and it is unit
+        # and warns of nothing (the overflow gave the antipode)
+        x = np.array([1.0, 0.0])
+        for extreme in Extreme:
+            sgn = -1.0 if extreme is Extreme.MIN else 1.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = cayley_step(x, np.array([0.0, p]), alpha, extreme)
+            assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
+            want = np.array([1.0 - t * t, sgn * 2.0 * t]) / (1.0 + t * t)
+            assert np.allclose(out, want, rtol=0.0, atol=1e-15)
+
     @pytest.mark.parametrize("extreme", ["min", "max", None])
     def test_rejects_an_extreme_that_is_not_an_extreme(self, extreme):
         # the string "min" would otherwise take the MAX direction
@@ -139,6 +156,20 @@ class TestStepLength:
         p = np.array([0.0, 1.0])
         for alpha, scale in ((1e200, 1.0), (1e308, 1.0), (1e308, 2.0)):
             assert step_length(x, scale * p, alpha) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("p, alpha, t", [
+        (1e-170, 1e168, 1e-2), (1e200, 1e-200, 1.0),
+    ], ids=["underflow", "overflow"])
+    def test_a_norm_whose_square_leaves_the_range(self, p, alpha, t):
+        # the closed form of the exact norm (it gave 2 at the overflow, not
+        # sqrt(2)), equal to the distance the step moves, with no warning
+        x, p = np.array([1.0, 0.0]), np.array([0.0, p])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            length = step_length(x, p, alpha)
+            direct = np.linalg.norm(cayley_step(x, p, alpha, Extreme.MIN) - x)
+        assert length == pytest.approx(2.0 * t / math.hypot(1.0, t), rel=1e-14)
+        assert length == pytest.approx(direct, rel=1e-14)
 
     @pytest.mark.parametrize("extreme", [Extreme.MIN, Extreme.MAX])
     def test_matches_direct_norm(self, extreme):
@@ -589,7 +620,7 @@ class TestMultistart:
         assert out.best is out.results[first]
         picked = []
 
-        def power(spec_, cache_, kind_, opts_, x, first_step, *, shift=False):
+        def power(spec_, cache_, kind_, opts_, x, first_step):
             picked.append(fixed(len(picked)))
             return picked[-1]
 
@@ -627,7 +658,7 @@ class TestMultistart:
         assert out.best is out.results[first]
         picked = []
 
-        def power(spec_, cache_, kind_, opts_, x, first_step, *, shift=False):
+        def power(spec_, cache_, kind_, opts_, x, first_step):
             picked.append(fixed(len(picked)))
             return picked[-1]
 
@@ -831,9 +862,9 @@ class TestProductReuse:
         assert ev_new.hxm1 is None and ev_new.residual == fresh.residual
 
     def test_a_custom_b_xm1_array_is_left_unchanged(self):
-        # the gradient is built in the buffer of B x^{m-1} only when the
-        # product is the package's own; a custom one may return an array
-        # its owner keeps
+        # the gradient is built in the buffer of B x^{m-1}, which b_xm1
+        # copies from a custom product: the array its owner returns may be
+        # one it keeps
         kept = {}
 
         def xm(m, x):
@@ -914,27 +945,41 @@ class TestWorkspace:
             dense_res = float(np.linalg.norm(dense_xm1(dense, run.x) - lam * run.x))
             assert abs(run.residual - dense_res) <= 1e-10 * (1.0 + abs(lam))
 
-    def test_solve_peak_memory_is_one_workspace(self):
-        # Measured at 1.92 MB: the two half-spectrum workspace buffers
-        # (1.28 MB) and four vectors of length n (the iterate and its
-        # gradient, the trial point and the gradient being built in the
-        # buffer of B x^{m-1}).  The bound allows five vectors, so a kept
+    @pytest.mark.parametrize("kind, power, vectors", [
+        (Z, False, 5), (Z, True, 9), (H, True, 9),
+    ], ids=["search-z", "power-z", "power-h"])
+    def test_solve_peak_memory_is_one_workspace(self, kind, power, vectors):
+        # The search measured at 1.92 MB: the two half-spectrum workspace
+        # buffers (1.28 MB) and four vectors of length n (the iterate and
+        # its gradient, the trial point and the gradient being built in the
+        # buffer of B x^{m-1}).  Its bound allows five vectors, so a kept
         # product or a second trial buffer (eight vectors before the
-        # evaluations dropped the products) fails it.
+        # evaluations dropped the products) fails it.  The power rule adds
+        # B x^{m-1} at the iterate and the shifted product, and for H the
+        # temporaries of the entrywise root: six vectors for Z and eight for
+        # H, where reading the products kept in its evaluations took nine.
         spec = generate(FamilySpec(Family.RANDOM, 4, 20000, seed=1))
         cache = make_cache(spec)
         opts = SolverOptions(seed=1, max_iter=5)
-        solve(spec, Z, opts, cache=cache)
+
+        def run():
+            if not power:
+                return solve(spec, kind, opts, cache=cache)
+            return solver_mod._iterate(spec, cache, kind, opts,
+                                       solver_mod._start(spec.n, opts.seed),
+                                       solver_mod._power_rule)
+
+        run()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            res = solve(spec, Z, opts, cache=cache)
+            res = run()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert res.iterations == 5
         workspace = 2 * 16 * (cache.size // 2 + 1)
-        assert peak < workspace + 5 * 8 * spec.n, peak
+        assert peak < workspace + vectors * 8 * spec.n, peak
 
 
 class TestPowerMethodBaseline:
@@ -946,7 +991,7 @@ class TestPowerMethodBaseline:
         cache = make_cache(spec)
         res = solver_mod._iterate(
             spec, cache, Z, SolverOptions(extreme=Extreme.MAX), x0.copy(),
-            solver_mod._power_rule, shift=True)
+            solver_mod._power_rule)
         assert res.termination in (Termination.CONVERGED,
                                    Termination.ZERO_GRADIENT)
         assert np.linalg.norm(res.x - x0) <= 1e-8
@@ -973,7 +1018,7 @@ class TestPowerMethodBaseline:
         res = solver_mod._iterate(
             spec, make_cache(spec), Z,
             SolverOptions(extreme=Extreme.MAX), x,
-            solver_mod._power_rule, shift=True)
+            solver_mod._power_rule)
         assert res.termination is Termination.LINESEARCH_STALL
         assert res.iterations == iterations
         assert (res.stats.forward_transforms, res.stats.inverse_transforms,
@@ -987,9 +1032,10 @@ class TestPowerMethodBaseline:
                                                            keep_path=True))
         assert len(res.path) == len(res.trace) == res.iterations + 1
         assert np.array_equal(res.path[-1], res.x)
-        # MIN: x+ = normalize(-H x^{m-1} + shift * x) for the Z identity
+        # MIN: x+ = normalize(-H x^{m-1} + shift * x) for the Z identity,
+        # and alpha_k holds 1/shift
         for row, x, x_next in zip(res.trace, res.path, res.path[1:]):
-            u = -hankel_xm1(cache, spec, x) + row.alpha_k * x
+            u = -hankel_xm1(cache, spec, x) + x / row.alpha_k
             assert np.allclose(x_next, u / np.linalg.norm(u), rtol=0.0,
                                atol=1e-12)
 
@@ -1016,10 +1062,10 @@ class TestPowerMethodBaseline:
         small = power_method_baseline(_sine(math.ldexp(1.0, -20)), Z, opts)
         assert small.eigenvalue == math.ldexp(base.eigenvalue, -20)
         assert np.array_equal(small.x, base.x)
-        # alpha_k holds the shift, which is in the units of lambda
+        # alpha_k holds 1/shift, a step, which scales as 1/lambda
         assert small.trace == [replace(r, lambda_k=math.ldexp(r.lambda_k, -20),
                                        grad_norm=math.ldexp(r.grad_norm, -20),
-                                       alpha_k=math.ldexp(r.alpha_k, -20))
+                                       alpha_k=math.ldexp(r.alpha_k, 20))
                                for r in base.trace]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
