@@ -411,8 +411,9 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--dims", required=True,
                          help="comma list of dimensions, e.g. 10,100,1000")
     p_bench.add_argument("--reps", type=int, default=20)
-    p_bench.add_argument("--family", choices=[f.value for f in Family],
-                         default="random")
+    p_bench.add_argument("--family", default="random",
+                         choices=[f.value for f in Family
+                                  if f is not Family.PARAM_EPS])
     p_bench.add_argument("--btensor", choices=_BTENSOR_CHOICES, default="z")
     p_bench.add_argument("--extreme", choices=_EXTREME_CHOICES, default="min")
     p_bench.add_argument("--seed", type=int, default=0)

@@ -21,16 +21,9 @@ half-spectrum buffers of ``size//2 + 1`` complex entries, and transforms
 every point into it, so a trial point allocates no array the size of a
 spectrum.  The solver reads ``H x^{m-1}`` where the inverse transform
 leaves it, and a line search builds all its trial points in one vector of
-length ``n``.  The minor page faults of a run come from the transform's
-own scratch: measured at ``size = 80000`` (a random order-4 tensor with
-``n = 20000``) on a 2-core Xeon, each ``numpy.fft`` transform takes 281,
-from pocketfft's per-call buffer.  They go to 0 once glibc has freed one
-mapped block larger than that buffer, since its dynamic mmap threshold
-then rises above it; ``rfft`` and ``irfft`` then take about 0.65 ms
-instead of 1.0-1.7 ms.  A loop of warm solves in a fresh interpreter
-takes about 46,000 faults and 0.31 s a call; a process whose earlier,
-larger temporaries have already raised the threshold takes about 1,200.
-The public products allocate a workspace per call.
+length ``n``.  The minor page faults a run still takes come from
+pocketfft's per-call scratch (measured in the README).  The public
+products allocate a workspace per call.
 
 DFT convention: forward transforms are unnormalised and inverse transforms
 carry the ``1/size`` factor (the numpy default).
@@ -165,9 +158,20 @@ def _power(a: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """``float(np.linalg.norm(v))`` to the last bit, without its overhead."""
-    v = v.ravel(order="K")  # numpy's default norm: sqrt(dot) of the ravel
-    return math.sqrt(v.dot(v))
+    """The 2-norm of a vector at any scale: ``sqrt(np.vdot(v, v))``, the
+    bits of ``np.linalg.norm`` on a contiguous vector, without its overhead
+    or an overflow warning.  A norm whose square leaves the float range
+    (inf, or below 1e-150 with ``v`` nonzero) is taken on ``v * 2**-e`` and
+    scaled back by ``2**e``."""
+    nrm = math.sqrt(np.vdot(v, v))
+    if not 1e-150 <= nrm < math.inf and v.any():
+        e = math.frexp(np.max(np.abs(v)))[1]
+        w = np.ldexp(v, -e)
+        try:
+            nrm = math.ldexp(math.sqrt(np.vdot(w, w)), e)
+        except OverflowError:  # the norm itself is above the float range
+            nrm = math.inf
+    return nrm
 
 
 @dataclass(frozen=True, eq=False, slots=True)

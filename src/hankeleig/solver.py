@@ -261,17 +261,12 @@ def _sign(extreme: Extreme) -> float:
 
 def _step_args(x: np.ndarray, p, alpha: float) -> tuple[np.ndarray, float]:
     """``(p, alpha * ||p||)`` for a ``p`` of the length of ``x`` and a
-    finite positive ``alpha``: the one check of both step functions.  A
-    norm whose squares under- or overflow is taken on ``p * 2**-e``."""
+    finite positive ``alpha``: the one check of both step functions.
+    ``||p||`` is :func:`_norm`'s, exact to rounding at any scale."""
     p = _vector(p, x.size, "p")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    # _norm's dot on a contiguous p (every gradient), with no overflow warning
-    nrm = math.sqrt(np.vdot(p, p))
-    if not 1e-150 <= nrm < math.inf and p.any():
-        e = math.frexp(np.max(np.abs(p)))[1]
-        nrm = math.ldexp(_norm(np.ldexp(p, -e)), e)
-    return p, alpha * nrm
+    return p, alpha * _norm(p)
 
 
 def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
@@ -577,16 +572,20 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
     def step(x, ev, ws):
         nonlocal shift
         # u = s H x^{m-1} + shift B x^{m-1}, by H x^{m-1} = (B x^m / m) g
-        # + f B x^{m-1} up to roundoff; x @ u = (s f + shift) B x^m > 0
+        # + f B x^{m-1} up to roundoff; x @ u = (s f + shift) B x^m > 0.
+        # u is built in x_new, with the float view of ws.power, free until
+        # the trial's transform, as the one temporary.
         bx = b_xm1(kind, spec.m, x)
+        t = ws.power.view(float)[: x.size]
         for repairs in range(opts.max_backtracks + 1):
             if repairs:
                 shift *= 2.0
-            u = np.multiply(sgn * ev.bxm / spec.m, ev.g)
-            u += (sgn * ev.f + shift) * bx
+            x_new = np.multiply(bx, sgn * ev.f + shift)
+            x_new += np.multiply(ev.g, sgn * ev.bxm / spec.m, out=t)
             if kind is not BTensorKind.Z_IDENTITY:
-                u = np.sign(u) * np.abs(u) ** root
-            x_new = u / _norm(u)
+                np.power(np.abs(x_new, out=t), root, out=t)
+                np.copysign(t, x_new, out=x_new)
+            x_new /= _norm(x_new)
             ws.counts["trials"] += 1
             f_new, hxm, bxm = _quotient(kind, x_new, ws)
             if sgn * (f_new - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):

@@ -19,6 +19,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_gen_txt_round_trips(capsys, tmp_path):
     out = tmp_path / "v.txt"
     code, _, _ = run(capsys, "gen", "--family", "sin", "--order", "4",
@@ -69,7 +76,7 @@ def test_solve_sine_benchmark(capsys, tmp_path):
                      "--starts", "20", "--seed", "7",
                      "--out", str(out), "--trace", str(trace))
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = strict_json(out.read_text())
     assert payload["lambda"] == pytest.approx(-8.846335, abs=1e-4)
     assert payload["termination"] == "converged"
     assert len(payload["x"]) == 5
@@ -89,9 +96,16 @@ def test_solve_sine_benchmark(capsys, tmp_path):
     assert counts["inverse_transforms"] == (
         20 + counts["trials"] - counts["backtracks"])
 
+    # the best start's trace: one row per visited iterate, k counting from
+    # 1, floats that parse, backtracks a count, lambda falling (a MIN run)
     lines = trace.read_text().splitlines()
     assert lines[0] == "k,lambda,grad_norm,alpha,backtracks"
-    lams = [float(line.split(",")[1]) for line in lines[1:]]
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == payload["iterations"] + 1
+    assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+    floats = [[float(f) for f in r[1:4]] for r in rows]
+    lams = [f[0] for f in floats]
+    assert all(int(r[4]) >= 0 for r in rows)
     assert all(b < a for a, b in zip(lams, lams[1:]))
 
 
@@ -134,7 +148,7 @@ def test_solve_json_input_carries_shape(capsys, tmp_path):
                           "--btensor", "z", "--extreme", "min",
                           "--starts", "2", "--seed", "1")
     assert code == 0
-    assert json.loads(stdout)["manifest"]["source"]["m"] == 4
+    assert strict_json(stdout)["manifest"]["source"]["m"] == 4
 
 
 def test_solve_wrong_vector_length_names_expectation(capsys, tmp_path):
@@ -367,7 +381,7 @@ def test_step_cap_below_the_first_step_solves(capsys):
                          "--dim", "5", "--btensor", "z", "--extreme", "min",
                          "--alpha-max", "0.5", "--starts", "5", "--seed", "1")
     assert code == 0, err
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["termination"] == "converged"
     assert payload["manifest"]["options"]["alpha_max"] == 0.5
 
@@ -465,7 +479,7 @@ def test_stalled_start_does_not_fail_a_converged_solve(capsys):
                           "--order", "4", "--dim", "1000", "--btensor", "z",
                           "--extreme", "max", "--starts", "10", "--seed", "4")
     assert code == 0
-    payload = json.loads(stdout)
+    payload = strict_json(stdout)
     assert payload["termination"] == "converged"
     assert payload["lambda"] == pytest.approx(10197997.415291505, rel=1e-12)
 
@@ -473,7 +487,8 @@ def test_stalled_start_does_not_fail_a_converged_solve(capsys):
 def test_verify_rejects_oversized_instance(capsys):
     code, _, err = run(capsys, "verify", "--order", "6", "--dim", "30")
     assert code == 1
-    assert "cap" in err
+    assert err.startswith("error: dense tensor would hold") and "cap" in err
+    assert "Traceback" not in err
 
 
 def test_bench_emits_csv(capsys):

@@ -5,23 +5,23 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import product_time_ratio
 
+import hankeleig
 from hankeleig.dense_oracle import (dense_hessian, dense_xm, dense_xm1,
                                     dense_xm2, materialize)
-from hankeleig.fft_products import (HankelSpec, _fast_len, _workspace,
+from hankeleig.fft_products import (HankelSpec, _fast_len, _norm, _workspace,
                                     _xm1_from_power, _xm_and_power, hankel_xm,
                                     hankel_xm1, make_cache)
 from hankeleig.objective import (BTensorKind, ReferenceProducts, evaluate,
                                  residual)
 from hankeleig.solver import (Extreme, SolverOptions, cayley_step,
                               curvilinear_search, solve)
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_spec_validation():
@@ -163,6 +163,37 @@ def test_high_order_matches_direct_correlation(m, n):
     assert np.max(np.abs(hankel_xm1(cache, spec, x) - ref1)) <= 1e-10 * scale
     ref = float(spec.v @ np.convolve(c, x))
     assert abs(hankel_xm(cache, spec, x) - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+@pytest.mark.parametrize("m, size", [(4, 16000), (6, 24000)])
+def test_products_past_the_oracle_cap_at_smooth_sizes(m, size):
+    # n = 4000, far past the dense oracle's cap, at 5-smooth transform
+    # sizes that are not powers of two, under criterion 1's metric: the
+    # reference is v correlated with the (m-1)-fold convolution of x
+    n = 4000
+    rng = np.random.default_rng(m)
+    spec = HankelSpec(m=m, n=n, v=rng.standard_normal(m * (n - 1) + 1))
+    cache = make_cache(spec)
+    assert cache.size == size
+    x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    ref1 = np.correlate(spec.v, reduce(np.convolve, [x] * (m - 1)), "valid")
+    ref = float(ref1 @ x)
+    err1 = np.abs(hankel_xm1(cache, spec, x) - ref1) / (1.0 + np.abs(ref1))
+    assert np.max(err1) <= 1e-10
+    assert abs(hankel_xm(cache, spec, x) - ref) / (1.0 + abs(ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("e", [-1070, -600, 0, 600, 1020])
+def test_norm_is_exact_where_its_square_leaves_the_range(e):
+    # 3-4-5 scaled by 2**e: the squares underflow at -600 and -1070 (the
+    # entries subnormal) and overflow at 600 and 1020; the norm keeps its bits
+    assert _norm(np.ldexp([3.0, 4.0], e)) == math.ldexp(5.0, e)
+
+
+def test_norm_above_the_float_range_is_inf():
+    assert _norm(np.full(4, 2.0 ** 1023)) == math.inf
+    assert _norm(np.zeros(3)) == 0.0
 
 
 def test_contraction_identity():
@@ -339,7 +370,9 @@ def test_fast_len_matches_scipy():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # the copy of the package the suite imports, from src/ or installed
+    root = Path(hankeleig.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root))
     probe = ("import sys, hankeleig.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,

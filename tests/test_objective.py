@@ -110,6 +110,22 @@ def test_residual_equals_scaled_gradient_norm(kind):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
 
 
+@pytest.mark.parametrize("e", [1000, -1000])
+@pytest.mark.parametrize("kind", [Z, H])
+def test_residuals_are_covariant_at_extreme_scales(kind, e):
+    # v times 2**e scales both residuals by 2**e to the last bit, where the
+    # square of the residual's norm leaves the float range (it read inf
+    # with an overflow warning, and 0)
+    spec = generate(FamilySpec(Family.SIN, 4, 5))
+    x = random_unit(np.random.default_rng(3), 5)
+    want = math.ldexp(evaluate(spec, make_cache(spec), kind, x).residual, e)
+    scaled = HankelSpec(4, 5, np.ldexp(spec.v, e))
+    cache = make_cache(scaled)
+    ev = evaluate(scaled, cache, kind, x)
+    assert ev.residual == want
+    assert residual(scaled, cache, kind, x, ev.f) == want
+
+
 def test_value_is_even_in_x():
     rng = np.random.default_rng(23)
     spec = HankelSpec(m=4, n=7, v=rng.standard_normal(25))

@@ -8,6 +8,7 @@ import pytest
 import hankeleig
 from hankeleig import (cli, dense_oracle, fft_products, generators,
                        objective, solver)
+from hankeleig.generators import Family
 from hankeleig.objective import BTensorKind
 from hankeleig.solver import Extreme, SolverOptions
 
@@ -48,6 +49,12 @@ def test_solve_defaults_are_the_solver_options():
 def test_choices_are_the_enum_values(sub):
     assert _choices(sub, "btensor") == [k.value for k in BTensorKind]
     assert _choices(sub, "extreme") == [e.value for e in Extreme]
+
+
+def test_bench_offers_the_families_a_dimension_sweep_builds():
+    # param is fixed at n = 4 and needs --epsilon, which bench does not take
+    assert _choices("bench", "family") == [
+        f.value for f in Family if f is not Family.PARAM_EPS]
 
 
 def test_manifest_lists_the_options_in_order(capsys):

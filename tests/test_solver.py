@@ -946,7 +946,7 @@ class TestWorkspace:
             assert abs(run.residual - dense_res) <= 1e-10 * (1.0 + abs(lam))
 
     @pytest.mark.parametrize("kind, power, vectors", [
-        (Z, False, 5), (Z, True, 9), (H, True, 9),
+        (Z, False, 5), (Z, True, 6), (H, True, 6),
     ], ids=["search-z", "power-z", "power-h"])
     def test_solve_peak_memory_is_one_workspace(self, kind, power, vectors):
         # The search measured at 1.92 MB: the two half-spectrum workspace
@@ -955,9 +955,10 @@ class TestWorkspace:
         # buffer of B x^{m-1}).  Its bound allows five vectors, so a kept
         # product or a second trial buffer (eight vectors before the
         # evaluations dropped the products) fails it.  The power rule adds
-        # B x^{m-1} at the iterate and the shifted product, and for H the
-        # temporaries of the entrywise root: six vectors for Z and eight for
-        # H, where reading the products kept in its evaluations took nine.
+        # B x^{m-1} at the iterate and builds its point, the entrywise root
+        # for H included, in the trial vector with the workspace as the one
+        # temporary: five vectors for both kinds, where a temporary of
+        # length n per term of the point took six for Z and eight for H.
         spec = generate(FamilySpec(Family.RANDOM, 4, 20000, seed=1))
         cache = make_cache(spec)
         opts = SolverOptions(seed=1, max_iter=5)
