@@ -19,11 +19,14 @@ Every transform is ``numpy.fft``'s, which writes into a given ``out=``
 array (NumPy 2.0 and later).  A solver run allocates one workspace, two
 half-spectrum buffers of ``size//2 + 1`` complex entries, and transforms
 every point into it, so a trial point allocates no array the size of a
-spectrum.  The solver reads ``H x^{m-1}`` where the inverse transform
-leaves it, and a line search builds all its trial points in one vector of
-length ``n``.  The minor page faults a run still takes come from
-pocketfft's per-call scratch (measured in the README).  The public
-products allocate a workspace per call.
+spectrum.  The workspace also binds what every point reads (the order,
+the dimension, the transform size, the spectrum and its two bins outside
+the Hermitian fold, and the float views of its buffers), so a point's
+products make only the numpy calls of their arithmetic.  The solver reads
+``H x^{m-1}`` where the inverse transform leaves it, and a line search
+builds all its trial points in one vector of length ``n``.  The minor page
+faults a run still takes come from pocketfft's per-call scratch (measured
+in the README).  The public products make a workspace per call.
 
 DFT convention: forward transforms are unnormalised and inverse transforms
 carry the ``1/size`` factor (the numpy default).
@@ -145,22 +148,12 @@ def make_cache(spec: HankelSpec) -> SpectralCache:
     return SpectralCache(spec=spec, size=size, vhat=vhat, exponent=exponent)
 
 
-def _power(a: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``a**k`` for ``k >= 1`` by repeated in-place products, into ``out``
-    if it is given: several times faster than ``**``, which calls ``pow``
-    per entry, and no less accurate for the small orders used here."""
-    if out is None:
-        out = np.empty_like(a)
-    np.copyto(out, a)
-    for _ in range(k - 1):
-        out *= a
-    return out
-
-
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of a vector at any scale: ``sqrt(np.vdot(v, v))``, the
     bits of ``np.linalg.norm`` on a contiguous vector, without its overhead
-    or an overflow warning.  A norm whose square leaves the float range
+    or an overflow warning (``v.dot(v)``, which ``np.linalg.norm`` calls,
+    warns where the square overflows).  A norm whose square leaves the
+    float range
     (inf, or below 1e-150 with ``v`` nonzero) is taken on ``v * 2**-e`` and
     scaled back by ``2**e``."""
     nrm = math.sqrt(np.vdot(v, v))
@@ -174,23 +167,39 @@ def _norm(v: np.ndarray) -> float:
     return nrm
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class _Workspace:
-    """The cache and buffers of one solver run, and the work done in them.
+    """The constants and buffers of one solver run, and the work done in it.
 
-    Every product of the run reads ``m``, ``n`` and the spectrum from
-    ``cache`` and transforms into the two half spectra ``power`` and
-    ``scratch`` (``size//2 + 1`` complex entries each), so a trial point
-    allocates nothing the size of a spectrum.  ``counts`` is keyed by the
-    field names of :class:`~hankeleig.solver.SolveStats`: the products
+    A workspace binds what every point of the run reads, so a product
+    looks nothing up: ``m``, ``n``, ``size`` and the ``exponent`` of the
+    cache, its half spectrum ``vhat`` and the two bins of it that the
+    Hermitian fold counts once, ``dc`` and, for an even ``size``,
+    ``nyquist`` (None for an odd one).  Every product transforms into the
+    two half spectra ``power`` and ``scratch`` (``size//2 + 1`` complex
+    entries each), so a trial point allocates nothing the size of a
+    spectrum.  Three float views of them are bound too: ``signal``, the
+    first ``size`` floats of ``scratch``, where the inverse transform
+    writes; ``head``, its first ``n``, where ``H x^{m-1}`` is read; and
+    ``spare``, the first ``n`` floats of ``power``.  ``counts`` is keyed by
+    the field names of :class:`~hankeleig.solver.SolveStats`: the products
     count the transforms they run, the solver's step rules their trials and
-    backtracks.  Unlike the cache, a workspace belongs to one caller at a
-    time.
+    backtracks.  Its fields are bound once, when it is made.  Unlike the
+    cache, a workspace belongs to one caller at a time.
     """
 
-    cache: SpectralCache
+    m: int
+    n: int
+    size: int
+    exponent: int
+    vhat: np.ndarray
+    dc: complex
+    nyquist: complex | None
     power: np.ndarray
     scratch: np.ndarray
+    signal: np.ndarray
+    head: np.ndarray
+    spare: np.ndarray
     counts: Counter
 
 
@@ -201,15 +210,25 @@ def _workspace(spec: HankelSpec, cache: SpectralCache) -> _Workspace:
     own = cache.spec
     if own is not spec and not (own.m == spec.m and np.array_equal(own.v, spec.v)):
         raise ValueError("the spectral cache was built for another tensor")
-    half = cache.size // 2 + 1
-    return _Workspace(cache, np.empty(half, dtype=complex),
-                      np.empty(half, dtype=complex), Counter())
+    size, vhat = cache.size, cache.vhat
+    power = np.empty(size // 2 + 1, dtype=complex)
+    scratch = np.empty_like(power)
+    signal = scratch.view(float)[:size]
+    return _Workspace(own.m, own.n, size, cache.exponent, vhat, vhat.item(0),
+                      None if size % 2 else vhat.item(-1), power, scratch,
+                      signal, signal[: own.n], power.view(float)[: own.n],
+                      Counter())
+
+
+_FLOAT = np.dtype(float)
 
 
 def _vector(x, n: int, name: str = "x") -> np.ndarray:
     """``x`` as a 1-D float array, refused unless its length is ``n``: the
-    package's one vector check, whose error names the argument ``name``."""
-    x = np.asarray(x, dtype=float).reshape(-1)
+    package's one vector check, whose error names the argument ``name``.
+    A 1-D float64 ndarray is returned as it is."""
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.ndim != 1:
+        x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != n:
         raise ValueError(f"{name} must have length n = {n}, got {x.size}")
     return x
@@ -222,43 +241,48 @@ def _xm_and_power(ws: _Workspace, x: np.ndarray) -> float:
     That power is the spectrum of the ``(m-1)``-fold self-convolution of
     ``x``; :func:`_xm1_from_power` turns it into ``H x^{m-1}`` with one
     inverse transform, so a caller that may need both products transforms
-    ``x`` once.  It stays valid until ``ws`` is used again.
+    ``x`` once.  It stays valid until ``ws`` is used again, and
+    ``ws.scratch`` is free on return.
     """
-    cache = ws.cache
     p, z = ws.power, ws.scratch
     # rfft pads x with zeros to ``size`` itself
-    np.fft.rfft(x, n=cache.size, out=z)
+    np.fft.rfft(x, n=ws.size, out=z)
     ws.counts["forward_transforms"] += 1
-    _power(z, cache.spec.m - 1, out=p)
+    # z**(m-1) by the loop of objective._power without its copy: z * z,
+    # then z times that, so the bits are those of the m-fold loop
+    if ws.m == 2:
+        np.copyto(p, z)
+    else:
+        np.multiply(z, z, out=p)
+        for _ in range(ws.m - 3):
+            p *= z
     # ``p * z``, not ``z * p``: complex multiplication is not bitwise
     # commutative, and ``p * z`` is the loop's next step, so ``H x^m`` is
     # the same to the last bit as from an m-fold loop.
     np.multiply(p, z, out=z)
     # Parseval folded onto the half spectrum: each bin stands for itself and
     # its mirror, except zero frequency and, for even size, the Nyquist bin.
-    vhat = cache.vhat
-    hxm = 2.0 * np.vdot(vhat, z).real - (vhat.item(0) * z.item(0)).real
-    if cache.size % 2 == 0:
-        hxm -= (vhat.item(-1) * z.item(-1)).real
-    hxm = float(hxm) / cache.size
-    if cache.exponent:
-        hxm = float(np.ldexp(hxm, cache.exponent))
+    hxm = 2.0 * np.vdot(ws.vhat, z).real - (ws.dc * z.item(0)).real
+    if ws.nyquist is not None:
+        hxm -= (ws.nyquist * z.item(-1)).real
+    hxm = float(hxm) / ws.size
+    if ws.exponent:
+        hxm = float(np.ldexp(hxm, ws.exponent))
     return hxm
 
 
 def _xm1_from_power(ws: _Workspace) -> np.ndarray:
     """``H x^{m-1}`` from the ``ws.power`` of :func:`_xm_and_power`, which
-    it consumes: one inverse transform into ``ws.scratch``, of which it
-    returns a view, valid until ``ws.scratch`` is used again."""
-    cache, p = ws.cache, ws.power
+    it consumes: one inverse transform into ``ws.signal``.  Returns
+    ``ws.head``, valid until ``ws.scratch`` is used again."""
+    p = ws.power
     np.conjugate(p, out=p)
-    p *= cache.vhat
-    signal = np.fft.irfft(p, cache.size, out=ws.scratch.view(float)[: cache.size])
+    p *= ws.vhat
+    np.fft.irfft(p, ws.size, out=ws.signal)
     ws.counts["inverse_transforms"] += 1
-    hxm1 = signal[: cache.spec.n]
-    if cache.exponent:
-        np.ldexp(hxm1, cache.exponent, out=hxm1)
-    return hxm1
+    if ws.exponent:
+        np.ldexp(ws.head, ws.exponent, out=ws.head)
+    return ws.head
 
 
 def hankel_xm(cache: SpectralCache, spec: HankelSpec, x: np.ndarray) -> float:

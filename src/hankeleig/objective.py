@@ -6,6 +6,13 @@ points are generalized eigenvectors and the value of ``f`` there is the
 eigenvalue.  Two reference tensors ship: the identity mapping onto
 Z-eigenpairs (``B x^{m-1} = ||x||^{m-2} x``) and the diagonal identity
 mapping onto H-eigenpairs (``(B x^{m-1})_i = x_i^{m-1}``).
+
+The solver's points go through :func:`_quotient` (one forward transform
+and ``B x^m``) and, for an accepted one, :func:`_gradient` (one inverse
+transform).  For the two shipped tensors they take ``B x^m`` and
+``B x^{m-1}`` themselves, to the bits of :func:`b_xm` and :func:`b_xm1`:
+the Z identity's from one norm of ``x`` per point, and the H identity's
+``x^m`` in the workspace, so a trial allocates nothing.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fft_products import (HankelSpec, SpectralCache, _norm, _power,
-                           _vector, _workspace, _Workspace, _xm1_from_power,
+from .fft_products import (HankelSpec, SpectralCache, _norm, _vector,
+                           _workspace, _Workspace, _xm1_from_power,
                            _xm_and_power, hankel_xm1)
 
 __all__ = [
@@ -68,7 +75,8 @@ class ReferenceProducts:
 ReferenceTensor = BTensorKind | ReferenceProducts
 
 
-@dataclass(frozen=True, eq=False)
+# Slotted: the solver makes one per iteration.
+@dataclass(frozen=True, eq=False, slots=True)
 class ObjectiveEval:
     """One objective evaluation: value, gradient, the four raw products and
     the residual ``||H x^{m-1} - f B x^{m-1}||``.  Only :func:`evaluate`
@@ -81,6 +89,16 @@ class ObjectiveEval:
     hxm1: np.ndarray | None
     bxm1: np.ndarray | None
     residual: float
+
+
+def _power(a: np.ndarray, k: int) -> np.ndarray:
+    """``a**k`` for ``k >= 1`` by repeated in-place products: several times
+    faster than ``**``, which calls ``pow`` per entry, and no less accurate
+    for the small orders used here."""
+    out = a.copy()
+    for _ in range(k - 1):
+        out *= a
+    return out
 
 
 def b_xm(kind: ReferenceTensor, m: int, x: np.ndarray) -> float:
@@ -159,49 +177,71 @@ def _evaluate(kind: ReferenceTensor, x: np.ndarray, ws: _Workspace,
               keep: bool = False) -> ObjectiveEval:
     """:func:`evaluate` at a unit ``x``: :func:`_gradient` of
     :func:`_quotient`, in the workspace ``ws``."""
-    _, hxm, bxm = _quotient(kind, x, ws)
-    return _gradient(kind, x, hxm, bxm, ws, keep)
+    return _gradient(kind, x, _quotient(kind, x, ws), ws, keep)
 
 
-def _quotient(kind: ReferenceTensor, x: np.ndarray,
-              ws: _Workspace) -> tuple[float, float, float]:
-    """``(f, H x^m, B x^m)`` at a unit ``x``, from one forward transform.
+def _quotient(kind: ReferenceTensor, x: np.ndarray, ws: _Workspace
+              ) -> tuple[float, float, float, float | None]:
+    """``(f, H x^m, B x^m, ||x||)`` at a unit ``x``, from one forward
+    transform; the norm is the one ``B x^m`` is taken from, for the Z
+    identity, and None for any other kind.
 
     The transform leaves the spectrum of ``x^{m-1}`` in ``ws`` for
-    :func:`_gradient`.  Raises :class:`InvalidReferenceTensorError` unless
+    :func:`_gradient`.  For the H identity ``x^m`` is built in
+    ``ws.head``, free once ``H x^m`` is read, so a trial allocates
+    nothing.  Raises :class:`InvalidReferenceTensorError` unless
     ``0 < B x^m < inf``.
     """
     hxm = _xm_and_power(ws, x)
-    bxm = b_xm(kind, ws.cache.spec.m, x)
+    nrm = None
+    if kind is BTensorKind.Z_IDENTITY:
+        nrm = _norm(x)
+        bxm = nrm ** ws.m
+    elif kind is BTensorKind.H_IDENTITY:
+        # the bits of b_xm: x * x, times x m-2 times, and np.sum's reduction
+        t = np.multiply(x, x, out=ws.head)
+        for _ in range(ws.m - 2):
+            t *= x
+        bxm = float(np.add.reduce(t))
+    else:
+        bxm = b_xm(kind, ws.m, x)
     if not 0.0 < bxm < math.inf:
         raise InvalidReferenceTensorError(
             f"B x^m = {bxm!r} is not positive and finite; the reference "
             "tensor is not positive definite at this point (odd order?)"
         )
-    return hxm / bxm, hxm, bxm
+    return hxm / bxm, hxm, bxm, nrm
 
 
-def _gradient(kind: ReferenceTensor, x: np.ndarray, hxm: float, bxm: float,
+def _gradient(kind: ReferenceTensor, x: np.ndarray,
+              quotient: tuple[float, float, float, float | None],
               ws: _Workspace, keep: bool = False) -> ObjectiveEval:
     """The :class:`ObjectiveEval` at the ``x`` of the last :func:`_quotient`
-    in ``ws``, from one inverse transform.  ``H x^{m-1}`` is read where the
-    transform leaves it and g is built in the buffer of ``B x^{m-1}``, one
-    of its own for every kind, so the evaluation allocates one vector; only
-    :func:`evaluate` sets ``keep``, which keeps both products, two more."""
+    in ``ws``, which returned ``quotient``, from one inverse transform.
+    ``H x^{m-1}`` is read where the transform leaves it, ``B x^{m-1}`` of
+    the Z identity is built from the norm of ``B x^m``, and g is built in
+    the buffer of ``B x^{m-1}``, one of its own for every kind, so the
+    evaluation allocates one vector; only :func:`evaluate` sets ``keep``,
+    which keeps both products, two more."""
+    f, hxm, bxm, nrm = quotient
     hxm1 = _xm1_from_power(ws)
-    bxm1 = b_xm1(kind, ws.cache.spec.m, x)
-    f = hxm / bxm
+    m = ws.m
+    if nrm is None:
+        bxm1 = b_xm1(kind, m, x)
+    else:  # the bits of b_xm1 of the Z identity
+        bxm1 = nrm ** (m - 2) * x
     # g = (m / bxm) * (hxm1 - f * bxm1), built in place
     g = np.multiply(f, bxm1, out=None if keep else bxm1)
     np.subtract(hxm1, g, out=g)
     res = _norm(g)
-    g *= ws.cache.spec.m / bxm
+    g *= m / bxm
     # The formula is tangent in exact arithmetic; subtracting the normal
     # component removes roundoff that would otherwise dwarf the gradient
     # once the iterate approaches an eigenvector.
-    g -= np.multiply(x @ g, x, out=ws.power.view(float)[: x.size])
-    kept = (hxm1.copy(), bxm1) if keep else (None, None)
-    return ObjectiveEval(f, g, hxm, bxm, *kept, res)
+    g -= np.multiply(x.dot(g), x, out=ws.spare)
+    if keep:
+        return ObjectiveEval(f, g, hxm, bxm, hxm1.copy(), bxm1, res)
+    return ObjectiveEval(f, g, hxm, bxm, None, None, res)
 
 
 def residual(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
@@ -212,8 +252,11 @@ def residual(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     ``x`` to the last bit, and equals ``B x^m / m`` times the norm of the
     quotient-gradient formula (as reconstructible from an
     :class:`ObjectiveEval`'s product fields), so a small gradient certifies
-    a small residual.
+    a small residual.  Raises ``ValueError`` for a ``lam`` that is not
+    finite.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     x = _require_unit(x, spec.n)
     hxm1 = hankel_xm1(cache, spec, x)
     bxm1 = b_xm1(kind, spec.m, x)

@@ -9,7 +9,9 @@ largest eigenvalue) and the next trial step comes from the geometric mean
 of the two Barzilai-Borwein step sizes.  The shifted power rule of the
 cross-check baseline normalises a shifted product instead.  The loop
 stops when the objective stalls in relative terms.  A multistart driver
-sits on top.
+sits on top.  A run makes one :func:`curvilinear_search` per iteration and
+one :func:`cayley_step` per trial, and keeps its constants and buffers in
+one workspace (see :func:`~hankeleig.fft_products._workspace`).
 
 Both iterations run on the normalised tensor ``v * 2**-e`` of the spectral
 cache (see :class:`~hankeleig.fft_products.SpectralCache`) and scale the
@@ -91,6 +93,8 @@ class Termination(Enum):
     LINESEARCH_STALL = "linesearch_stall"
     ZERO_GRADIENT = "zero_gradient"
 
+
+_MIN, _MAX = Extreme.MIN, Extreme.MAX
 
 # The terminations of a run that found an eigenpair.
 _SUCCESS = (Termination.CONVERGED, Termination.ZERO_GRADIENT)
@@ -254,9 +258,13 @@ class MultistartOutcome:
 
 
 def _sign(extreme: Extreme) -> float:
-    if not isinstance(extreme, Extreme):
-        raise ValueError(f"extreme must be an Extreme, got {extreme!r}")
-    return -1.0 if extreme is Extreme.MIN else 1.0
+    # by identity, cheaper than isinstance and a member lookup: an Extreme
+    # is one of these two members
+    if extreme is _MIN:
+        return -1.0
+    if extreme is _MAX:
+        return 1.0
+    raise ValueError(f"extreme must be an Extreme, got {extreme!r}")
 
 
 def _step_args(x: np.ndarray, p, alpha: float) -> tuple[np.ndarray, float]:
@@ -290,7 +298,7 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
     cp = 2.0 * (alpha / (1.0 + u))
     if cp == math.inf:  # alpha near the float64 limit, p = 0: not inf * 0
         cp = sys.float_info.max
-    step = (_sign(extreme) * cp) * p
+    step = np.multiply(p, _sign(extreme) * cp)  # before out may overwrite p
     return np.add(np.multiply(x, cx, out), step, out)
 
 
@@ -343,7 +351,8 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
     workspace to every search of a run.
 
     Raises :class:`LineSearchStallError` after ``max_backtracks`` rejected
-    trials; that signals the decrease has fallen below rounding resolution.
+    trials, or once the trial step underflows to zero, before that trial;
+    either signals the decrease has fallen below rounding resolution.
     """
     if not 0.0 < alpha_bar <= opts.alpha_max:
         raise ValueError(f"alpha_bar must lie in (0, alpha_max], got {alpha_bar}")
@@ -352,18 +361,23 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
     g = _vector(eval_k.g, spec.n, "g")
     sgn = _sign(opts.extreme)
     f_k = eval_k.f
-    gnorm2 = float(g @ g)
+    gnorm2 = float(g.dot(g))
     x_trial = np.empty_like(x_k)
+    beta, eta, extreme, counts = opts.beta, opts.eta, opts.extreme, ws.counts
     for j in range(opts.max_backtracks + 1):
-        alpha = alpha_bar * opts.beta ** j
-        cayley_step(x_k, g, alpha, opts.extreme, out=x_trial)
-        ws.counts["trials"] += 1
-        f_trial, hxm, bxm = _quotient(kind, x_trial, ws)
+        alpha = alpha_bar * beta ** j
+        if alpha == 0.0:  # a small beta reaches the bottom of the floats
+            raise LineSearchStallError(
+                f"the trial step underflowed to zero after {j} backtracks")
+        cayley_step(x_k, g, alpha, extreme, out=x_trial)
+        counts["trials"] += 1
+        trial = _quotient(kind, x_trial, ws)
+        f_trial = trial[0]
         # Strict inequality keeps the trace strictly monotone even when the
         # required decrease rounds to nothing.
-        if sgn * (f_trial - f_k) >= opts.eta * alpha * gnorm2 and f_trial != f_k:
-            return alpha, x_trial, _gradient(kind, x_trial, hxm, bxm, ws), j
-        ws.counts["backtracks"] += 1
+        if sgn * (f_trial - f_k) >= eta * alpha * gnorm2 and f_trial != f_k:
+            return alpha, x_trial, _gradient(kind, x_trial, trial, ws), j
+        counts["backtracks"] += 1
     raise LineSearchStallError(
         f"no sufficient decrease within {opts.max_backtracks} backtracks"
     )
@@ -477,8 +491,8 @@ def _search_rule(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
         alpha_k, x_new, ev_new, backtracks = curvilinear_search(
             spec, cache, kind, x, ev, alpha_bar, opts, ws)
         # the workspace is free until the next search
-        dx = np.subtract(x_new, x, out=ws.power.view(float)[: spec.n])
-        dg = np.subtract(ev_new.g, ev.g, out=ws.scratch.view(float)[: spec.n])
+        dx = np.subtract(x_new, x, out=ws.spare)
+        dg = np.subtract(ev_new.g, ev.g, out=ws.head)
         alpha_bar = _bb_step(dx, dg, opts.alpha_max, alpha_bar,
                              max(1.0, abs(ev_new.f)))
         return x_new, ev_new, alpha_k, backtracks
@@ -573,10 +587,10 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
         nonlocal shift
         # u = s H x^{m-1} + shift B x^{m-1}, by H x^{m-1} = (B x^m / m) g
         # + f B x^{m-1} up to roundoff; x @ u = (s f + shift) B x^m > 0.
-        # u is built in x_new, with the float view of ws.power, free until
-        # the trial's transform, as the one temporary.
+        # u is built in x_new, with ws.spare, free until the trial's
+        # transform, as the one temporary.
         bx = b_xm1(kind, spec.m, x)
-        t = ws.power.view(float)[: x.size]
+        t = ws.spare
         for repairs in range(opts.max_backtracks + 1):
             if repairs:
                 shift *= 2.0
@@ -587,10 +601,11 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
                 np.copysign(t, x_new, out=x_new)
             x_new /= _norm(x_new)
             ws.counts["trials"] += 1
-            f_new, hxm, bxm = _quotient(kind, x_new, ws)
+            trial = _quotient(kind, x_new, ws)
+            f_new = trial[0]
             if sgn * (f_new - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):
                 taken, shift = 1.0 / shift, max(shift, abs(f_new) + 1.0)
-                ev_new = _gradient(kind, x_new, hxm, bxm, ws)
+                ev_new = _gradient(kind, x_new, trial, ws)
                 return x_new, ev_new, taken, repairs
             ws.counts["backtracks"] += 1
         raise LineSearchStallError(

@@ -484,6 +484,22 @@ def test_stalled_start_does_not_fail_a_converged_solve(capsys):
     assert payload["lambda"] == pytest.approx(10197997.415291505, rel=1e-12)
 
 
+def test_a_beta_whose_steps_underflow_stalls_every_start(capsys):
+    # alpha_bar * beta**2 is 0.0: each start's search stalls there instead
+    # of the run exiting 1 on a zero step, and the stall is reported
+    code, stdout, err = run(capsys, "solve", "--family", "sin", "--order",
+                            "4", "--dim", "5", "--btensor", "z", "--extreme",
+                            "min", "--beta", "1e-200", "--starts", "5",
+                            "--seed", "1")
+    assert code == 2
+    assert "Traceback" not in err
+    payload = strict_json(stdout)
+    assert payload["termination"] == "linesearch_stall"
+    assert sum(b["count"] for b in payload["occurrences"]) == 5
+    counts = payload["manifest"]["counts"]
+    assert counts["forward_transforms"] == 5 + counts["trials"]
+
+
 def test_verify_rejects_oversized_instance(capsys):
     code, _, err = run(capsys, "verify", "--order", "6", "--dim", "30")
     assert code == 1

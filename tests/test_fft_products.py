@@ -18,8 +18,8 @@ from hankeleig.dense_oracle import (dense_hessian, dense_xm, dense_xm1,
 from hankeleig.fft_products import (HankelSpec, _fast_len, _norm, _workspace,
                                     _xm1_from_power, _xm_and_power, hankel_xm,
                                     hankel_xm1, make_cache)
-from hankeleig.objective import (BTensorKind, ReferenceProducts, evaluate,
-                                 residual)
+from hankeleig.objective import (BTensorKind, ReferenceProducts, _power,
+                                 evaluate, residual)
 from hankeleig.solver import (Extreme, SolverOptions, cayley_step,
                               curvilinear_search, solve)
 
@@ -317,6 +317,24 @@ def test_products_in_a_workspace_allocate_no_spectrum():
     assert allocated < 8 * (cache.size // 2 + 1), allocated
     assert np.array_equal(hxm1, want)
     assert hxm == hankel_xm(cache, spec, x)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_spectral_power_is_the_power_loop_bitwise(m, parity):
+    # The kernel starts z**(m-1) with z * z into the workspace instead of a
+    # copy of z; the spectrum it leaves must be _power's to the last bit.
+    n = next(n for n in range(2, 60)
+             if _fast_len(m * (n - 1) + 1) % 2 == (parity == "odd"))
+    rng = np.random.default_rng(10 * m + n)
+    spec = HankelSpec(m=m, n=n, v=rng.standard_normal(m * (n - 1) + 1))
+    cache = make_cache(spec)
+    ws = _workspace(spec, cache)
+    for _ in range(5):
+        x = rng.standard_normal(n)
+        _xm_and_power(ws, x)
+        loop = _power(np.fft.rfft(x, cache.size), m - 1)
+        assert ws.power.tobytes() == loop.tobytes()
 
 
 def test_cache_keeps_one_half_spectrum():

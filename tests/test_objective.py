@@ -185,6 +185,31 @@ def test_custom_reference_products_match_builtin_kind():
         b_xm2(custom, 4, x)
 
 
+@pytest.mark.parametrize("name", ["z", "h", "custom"])
+def test_evaluation_products_are_the_reference_products_bitwise(name):
+    # The objective takes B x^m of the shipped kinds itself (the Z identity's
+    # B x^{m-1} from the norm of B x^m, the H identity's x^m in the
+    # workspace); both must be b_xm's and b_xm1's to the last bit.
+    kind = {"z": Z, "h": H, "custom": _z_identity_with()}[name]
+    rng = np.random.default_rng(41)
+    for m, n in [(2, 7), (4, 5), (6, 9), (4, 300)]:
+        spec = HankelSpec(m=m, n=n, v=rng.standard_normal(m * (n - 1) + 1))
+        cache = make_cache(spec)
+        for _ in range(3):
+            x = random_unit(rng, n)
+            ev = evaluate(spec, cache, kind, x)
+            assert ev.bxm == b_xm(kind, m, x)
+            assert ev.bxm1.tobytes() == b_xm1(kind, m, x).tobytes()
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_residual_refuses_a_lam_that_is_not_finite(lam):
+    spec = generate(FamilySpec(Family.SIN, 4, 5))
+    x = random_unit(np.random.default_rng(2), 5)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        residual(spec, make_cache(spec), Z, x, lam)
+
+
 def test_rejects_nonpositive_reference_and_nonunit_x():
     spec = HankelSpec(m=3, n=2, v=np.ones(4))
     cache = make_cache(spec)

@@ -229,6 +229,30 @@ class TestCurvilinearSearch:
         with pytest.raises(LineSearchStallError):
             curvilinear_search(spec, cache, Z, x, ev, opts.alpha_max, opts)
 
+    def test_an_underflowing_trial_step_stalls(self):
+        # alpha_bar * beta**j reaches 0.0 after one trial; the search stalls
+        # there, with the one trial it made counted, instead of handing
+        # cayley_step a zero step
+        spec, cache, x, ev = self._setup()
+        ws = solver_mod._workspace(spec, cache)
+        with pytest.raises(LineSearchStallError, match="underflowed"):
+            curvilinear_search(spec, cache, Z, x, ev, 5e-324, SolverOptions(),
+                               ws)
+        assert ws.counts["trials"] == ws.counts["backtracks"] == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_a_beta_whose_steps_underflow_stalls_the_solve(self, seed):
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        res = solve(spec, Z, SolverOptions(beta=1e-200, seed=seed))
+        assert res.termination is Termination.LINESEARCH_STALL
+        assert math.isfinite(res.eigenvalue) and math.isfinite(res.residual)
+        # the searches before the last accept their first trial; the last
+        # makes two and stalls before the third, whose beta**2 is 0.0
+        stats = res.stats
+        assert stats.trials == res.iterations + stats.backtracks
+        assert stats.backtracks == 2
+        assert stats.forward_transforms == 1 + stats.trials
+
     def test_alpha_bar_validated(self):
         spec, cache, x, ev = self._setup()
         with pytest.raises(ValueError):
@@ -945,17 +969,34 @@ class TestWorkspace:
             dense_res = float(np.linalg.norm(dense_xm1(dense, run.x) - lam * run.x))
             assert abs(run.residual - dense_res) <= 1e-10 * (1.0 + abs(lam))
 
+    @pytest.mark.parametrize("name", ["z", "h", "custom"])
+    def test_the_solver_residual_is_the_public_residual_bitwise(self, name):
+        # the run's residual comes from the norm of its last gradient's
+        # H x^{m-1} - f B x^{m-1}, which residual(..., f) takes afresh
+        kind = {"z": Z, "h": H, "custom": ReferenceProducts(
+            lambda m, x: float(np.linalg.norm(x)) ** m,
+            lambda m, x: float(np.linalg.norm(x)) ** (m - 2) * x)}[name]
+        for fs in [FamilySpec(Family.SIN, 4, 5),
+                   FamilySpec(Family.RANDOM, 6, 40, seed=2)]:
+            spec = generate(fs)
+            cache = make_cache(spec)
+            for seed in range(3):
+                res = solve(spec, kind, SolverOptions(seed=seed), cache=cache)
+                assert res.residual == residual(spec, cache, kind, res.x,
+                                                res.eigenvalue)
+
     @pytest.mark.parametrize("kind, power, vectors", [
-        (Z, False, 5), (Z, True, 6), (H, True, 6),
-    ], ids=["search-z", "power-z", "power-h"])
+        (Z, False, 5), (H, False, 5), (Z, True, 6), (H, True, 6),
+    ], ids=["search-z", "search-h", "power-z", "power-h"])
     def test_solve_peak_memory_is_one_workspace(self, kind, power, vectors):
         # The search measured at 1.92 MB: the two half-spectrum workspace
         # buffers (1.28 MB) and four vectors of length n (the iterate and
         # its gradient, the trial point and the gradient being built in the
         # buffer of B x^{m-1}).  Its bound allows five vectors, so a kept
         # product or a second trial buffer (eight vectors before the
-        # evaluations dropped the products) fails it.  The power rule adds
-        # B x^{m-1} at the iterate and builds its point, the entrywise root
+        # evaluations dropped the products) fails it.  The H search measures
+        # the same, as a trial builds x^m in the workspace.  The power rule
+        # adds B x^{m-1} at the iterate and builds its point, the entrywise root
         # for H included, in the trial vector with the workspace as the one
         # temporary: five vectors for both kinds, where a temporary of
         # length n per term of the point took six for Z and eight for H.
