@@ -3,7 +3,7 @@
 A Hankel tensor is stored as its generating vector alone; tensor-vector
 products are real-FFT correlations of that vector, and extremal Z-, H-,
 and generalized eigenpairs come from a curvilinear search on the unit
-sphere.  A dense brute-force oracle validates the FFT products.  The
+sphere.  A dense brute-force oracle validates the fast products.  The
 package re-exports the public names of each module's ``__all__``.
 """
 

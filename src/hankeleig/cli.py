@@ -2,9 +2,10 @@
 
 Four subcommands: ``solve`` runs the multistart eigenvalue search and emits
 a result JSON plus an optional iteration-trace CSV; ``gen`` writes a
-benchmark generating vector; ``verify`` compares the FFT products against
-the dense oracle on random instances; ``bench`` times the products and the
-solver over a list of dimensions.
+benchmark generating vector; ``verify`` compares the fast products (FFTs,
+or DFT-matrix products for a small tensor) against the dense oracle on
+random instances; ``bench`` times the products and the solver over a list
+of dimensions.
 
 Exit codes: 0 for a converged solve (or a clean verify), 2 when a solve
 produced no converged result, 1 for usage errors.  All floating point
@@ -398,7 +399,7 @@ def _build_parser() -> _Parser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_verify = sub.add_parser(
-        "verify", help="compare FFT products against the dense oracle")
+        "verify", help="compare the fast products against the dense oracle")
     p_verify.add_argument("--order", type=int, required=True)
     p_verify.add_argument("--dim", type=int, required=True)
     p_verify.add_argument("--trials", type=int, default=100)
@@ -406,7 +407,7 @@ def _build_parser() -> _Parser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bench = sub.add_parser(
-        "bench", help="time the FFT product and the solver over dimensions")
+        "bench", help="time the fast product and the solver over dimensions")
     p_bench.add_argument("--order", type=int, required=True)
     p_bench.add_argument("--dims", required=True,
                          help="comma list of dimensions, e.g. 10,100,1000")

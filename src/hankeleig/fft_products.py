@@ -15,18 +15,25 @@ its prime factors: pocketfft, the C++ FFT behind ``numpy.fft``, runs its
 fastest kernels on those factors.  The tensor is kept as one half
 spectrum, ``rfft(v, size)``, which gives ``H x^m`` by the Hermitian fold.
 
-Every transform is ``numpy.fft``'s, which writes into a given ``out=``
-array (NumPy 2.0 and later).  A solver run allocates one workspace, two
-half-spectrum buffers of ``size//2 + 1`` complex entries, and transforms
-every point into it, so a trial point allocates no array the size of a
-spectrum.  The workspace also binds what every point reads (the order,
-the dimension, the transform size, the spectrum and its two bins outside
-the Hermitian fold, and the float views of its buffers), so a point's
-products make only the numpy calls of their arithmetic.  The solver reads
+A point's transforms take one of two paths, chosen by size alone.  Above
+``_DFT_MAX_ENTRIES`` they are ``numpy.fft``'s, which writes into a given
+``out=`` array (NumPy 2.0 and later).  At or below it, where
+``numpy.fft``'s per-call overhead is most of a transform's cost, each is
+one product with a real DFT matrix of the cache (:func:`_dft_matrices`),
+one BLAS call.  Everything else a point computes, and the counts of its
+transforms, are the same on both paths.  A solver run allocates one
+workspace, two half-spectrum buffers of ``size//2 + 1`` complex entries,
+and transforms every point into it, so a trial point allocates no array
+the size of a spectrum.  The workspace also binds what every point reads
+(the order, the dimension, the transform size, the spectrum and its two
+bins outside the Hermitian fold, the DFT matrices, and the float views of
+its buffers), so a point's products make only the numpy calls of their
+arithmetic.  The solver reads
 ``H x^{m-1}`` where the inverse transform leaves it, and a line search
 builds all its trial points in one vector of length ``n``.  The minor page
-faults a run still takes come from pocketfft's per-call scratch (measured
-in the README).  The public products make a workspace per call.
+faults a run on the FFT path still takes come from pocketfft's per-call
+scratch (measured in the README).  The public products make a workspace
+per call.
 
 DFT convention: forward transforms are unnormalised and inverse transforms
 carry the ``1/size`` factor (the numpy default).
@@ -106,17 +113,26 @@ class SpectralCache:
     spectrum.  Every product is scaled back by ``2**e``, which is exact, so
     the products are those of ``v`` to the last bit.  The same spectrum
     with ``exponent`` 0 is the cache of the normalised tensor, which is
-    what the solver works on.  All fields are immutable after construction,
-    so one cache may serve any number of concurrent product calls.
+    what the solver works on.
+
+    ``dft`` is None unless the tensor is small (see :data:`_DFT_MAX_ENTRIES`);
+    then it is the pair ``(forward, inverse)`` of real matrices that
+    transform a point by one matrix product each, in place of ``rfft`` and
+    ``irfft`` (see :func:`_dft_matrices`).  All fields are immutable after
+    construction, so one cache may serve any number of concurrent product
+    calls.
     """
 
     spec: HankelSpec
     size: int
     vhat: np.ndarray
     exponent: int
+    dft: tuple[np.ndarray, np.ndarray] | None
 
     def __post_init__(self):
         self.vhat.flags.writeable = False
+        for matrix in self.dft or ():
+            matrix.flags.writeable = False
 
 
 def _fast_len(ell: int) -> int:
@@ -137,15 +153,58 @@ def _fast_len(ell: int) -> int:
     return best
 
 
+# The most entries, n * 2 * (size//2 + 1), that each DFT matrix of a cache
+# may have: 32 KiB a matrix.  Below it a point is transformed by matrix
+# products, whose one BLAS call costs less than numpy.fft's per-call
+# overhead; the crossover lies between about 37,000 and 66,000 entries
+# (README).
+_DFT_MAX_ENTRIES = 4096
+
+
+def _dft_matrices(n: int, size: int, vhat: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The real matrices ``(forward, inverse)`` that transform a point of
+    dimension ``n`` by one matrix product each.
+
+    ``x @ forward`` is ``rfft(x, size)`` as ``2*(size//2 + 1)`` floats, the
+    real and imaginary part of each bin; ``forward`` is ``numpy.fft``'s
+    transform of the identity.  ``p @ inverse``, for a half spectrum ``p``
+    read as floats, is the first ``n`` entries of
+    ``irfft(conj(p) * vhat, size)``, whose entry ``j`` is the sum over the
+    bins ``k`` of ``Re(conj(p_k) * c[j, k])`` with
+    ``c[j, k] = w_k / size * vhat_k * conj(rfft(e_j)[k])``: the weight
+    ``w_k`` is 2 for a bin that stands for itself and its mirror, 1 for
+    zero frequency and, for an even ``size``, the Nyquist bin.  So rows
+    ``2k`` and ``2k + 1`` of ``inverse`` (the coefficients of ``Re p_k``
+    and ``Im p_k``) are the real and imaginary parts of ``c[:, k]``; those
+    of the two unmirrored bins' imaginary parts are zero, as ``irfft``
+    ignores them.  Built from ``forward``, neither takes more than
+    O(``n * size``) memory.
+    """
+    forward = np.fft.rfft(np.eye(n), size, axis=1)
+    weight = np.full(size // 2 + 1, 2.0 / size)
+    weight[0] = 1.0 / size
+    if size % 2 == 0:
+        weight[-1] = 1.0 / size
+    inverse = (np.conjugate(forward) * (vhat * weight)).view(float).T
+    return forward.view(float), np.ascontiguousarray(inverse)
+
+
 def make_cache(spec: HankelSpec) -> SpectralCache:
-    """Build the spectral cache: one real FFT of the normalised ``v``."""
+    """Build the spectral cache: one real FFT of the normalised ``v`` and,
+    for a tensor with ``n * 2 * (size//2 + 1) <= _DFT_MAX_ENTRIES``, its
+    two DFT matrices."""
     size = _fast_len(spec.ell)
     # max|v| without a full-size temporary
     mant, exponent = math.frexp(max(float(spec.v.max()), -float(spec.v.min())))
     if 0.0 < mant < math.sqrt(0.5):
         exponent -= 1  # 2**(exponent-1) is the nearer power by ratio
     vhat = np.fft.rfft(np.ldexp(spec.v, -exponent), n=size)
-    return SpectralCache(spec=spec, size=size, vhat=vhat, exponent=exponent)
+    dft = None
+    if spec.n * 2 * (size // 2 + 1) <= _DFT_MAX_ENTRIES:
+        dft = _dft_matrices(spec.n, size, vhat)
+    return SpectralCache(spec=spec, size=size, vhat=vhat, exponent=exponent,
+                         dft=dft)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -175,13 +234,17 @@ class _Workspace:
     looks nothing up: ``m``, ``n``, ``size`` and the ``exponent`` of the
     cache, its half spectrum ``vhat`` and the two bins of it that the
     Hermitian fold counts once, ``dc`` and, for an even ``size``,
-    ``nyquist`` (None for an odd one).  Every product transforms into the
-    two half spectra ``power`` and ``scratch`` (``size//2 + 1`` complex
-    entries each), so a trial point allocates nothing the size of a
-    spectrum.  Three float views of them are bound too: ``signal``, the
-    first ``size`` floats of ``scratch``, where the inverse transform
-    writes; ``head``, its first ``n``, where ``H x^{m-1}`` is read; and
-    ``spare``, the first ``n`` floats of ``power``.  ``counts`` is keyed by
+    ``nyquist`` (None for an odd one), and the cache's DFT matrices
+    ``forward`` and ``inverse`` (both None when the cache has none, which
+    is what the kernel tests to choose its path).  Every product
+    transforms into the two half spectra ``power`` and ``scratch``
+    (``size//2 + 1`` complex entries each), so a trial point allocates
+    nothing the size of a spectrum.  Float views of them are bound too:
+    ``power_floats`` and ``scratch_floats``, all of each, which the matrix
+    products read and write; ``signal``, the first ``size`` floats of
+    ``scratch``, where ``irfft`` writes; ``head``, its first ``n``, where
+    ``H x^{m-1}`` is read; and ``spare``, the first ``n`` floats of
+    ``power``.  ``counts`` is keyed by
     the field names of :class:`~hankeleig.solver.SolveStats`: the products
     count the transforms they run, the solver's step rules their trials and
     backtracks.  Its fields are bound once, when it is made.  Unlike the
@@ -195,8 +258,12 @@ class _Workspace:
     vhat: np.ndarray
     dc: complex
     nyquist: complex | None
+    forward: np.ndarray | None
+    inverse: np.ndarray | None
     power: np.ndarray
     scratch: np.ndarray
+    power_floats: np.ndarray
+    scratch_floats: np.ndarray
     signal: np.ndarray
     head: np.ndarray
     spare: np.ndarray
@@ -211,13 +278,15 @@ def _workspace(spec: HankelSpec, cache: SpectralCache) -> _Workspace:
     if own is not spec and not (own.m == spec.m and np.array_equal(own.v, spec.v)):
         raise ValueError("the spectral cache was built for another tensor")
     size, vhat = cache.size, cache.vhat
+    forward, inverse = cache.dft or (None, None)
     power = np.empty(size // 2 + 1, dtype=complex)
     scratch = np.empty_like(power)
-    signal = scratch.view(float)[:size]
+    power_floats, scratch_floats = power.view(float), scratch.view(float)
+    signal = scratch_floats[:size]
     return _Workspace(own.m, own.n, size, cache.exponent, vhat, vhat.item(0),
-                      None if size % 2 else vhat.item(-1), power, scratch,
-                      signal, signal[: own.n], power.view(float)[: own.n],
-                      Counter())
+                      None if size % 2 else vhat.item(-1), forward, inverse,
+                      power, scratch, power_floats, scratch_floats, signal,
+                      signal[: own.n], power_floats[: own.n], Counter())
 
 
 _FLOAT = np.dtype(float)
@@ -235,8 +304,9 @@ def _vector(x, n: int, name: str = "x") -> np.ndarray:
 
 
 def _xm_and_power(ws: _Workspace, x: np.ndarray) -> float:
-    """One forward transform: ``H x^m`` of a :func:`_vector` ``x``, leaving
-    ``rfft(x, size)**(m-1)`` in ``ws.power``.
+    """One forward transform, ``rfft`` or the product with ``ws.forward``:
+    ``H x^m`` of a :func:`_vector` ``x``, leaving ``rfft(x, size)**(m-1)``
+    in ``ws.power``.
 
     That power is the spectrum of the ``(m-1)``-fold self-convolution of
     ``x``; :func:`_xm1_from_power` turns it into ``H x^{m-1}`` with one
@@ -245,8 +315,11 @@ def _xm_and_power(ws: _Workspace, x: np.ndarray) -> float:
     ``ws.scratch`` is free on return.
     """
     p, z = ws.power, ws.scratch
-    # rfft pads x with zeros to ``size`` itself
-    np.fft.rfft(x, n=ws.size, out=z)
+    if ws.forward is None:
+        # rfft pads x with zeros to ``size`` itself
+        np.fft.rfft(x, n=ws.size, out=z)
+    else:
+        np.dot(x, ws.forward, out=ws.scratch_floats)
     ws.counts["forward_transforms"] += 1
     # z**(m-1) by the loop of objective._power without its copy: z * z,
     # then z times that, so the bits are those of the m-fold loop
@@ -273,12 +346,16 @@ def _xm_and_power(ws: _Workspace, x: np.ndarray) -> float:
 
 def _xm1_from_power(ws: _Workspace) -> np.ndarray:
     """``H x^{m-1}`` from the ``ws.power`` of :func:`_xm_and_power`, which
-    it consumes: one inverse transform into ``ws.signal``.  Returns
-    ``ws.head``, valid until ``ws.scratch`` is used again."""
-    p = ws.power
-    np.conjugate(p, out=p)
-    p *= ws.vhat
-    np.fft.irfft(p, ws.size, out=ws.signal)
+    it consumes: one inverse transform, ``irfft(conj(p) * vhat)`` into
+    ``ws.signal`` or the product with ``ws.inverse`` into ``ws.head``.
+    Returns ``ws.head``, valid until ``ws.scratch`` is used again."""
+    if ws.inverse is None:
+        p = ws.power
+        np.conjugate(p, out=p)
+        p *= ws.vhat
+        np.fft.irfft(p, ws.size, out=ws.signal)
+    else:
+        np.dot(ws.power_floats, ws.inverse, out=ws.head)
     ws.counts["inverse_transforms"] += 1
     if ws.exponent:
         np.ldexp(ws.head, ws.exponent, out=ws.head)

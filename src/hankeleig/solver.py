@@ -23,6 +23,7 @@ is the run on ``v`` scaled by ``2**k``, to the last bit.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -126,6 +127,13 @@ class SolverOptions:
     keep_path: bool = False
 
     def __post_init__(self):
+        for name in ("max_iter", "starts", "seed"):
+            value = getattr(self, name)
+            try:  # a numpy integer passes, a float (even 3.0) or NaN does not
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}") from None
         if not 0.0 < self.eta <= 0.5:
             raise ValueError(f"eta must lie in (0, 1/2], got {self.eta}")
         if not 0.0 < self.beta < 1.0:
@@ -203,9 +211,10 @@ class _Trace(Sequence):
 class SolveStats:
     """Work done by one solver run.
 
-    ``forward_transforms`` and ``inverse_transforms`` count the real FFTs
+    ``forward_transforms`` and ``inverse_transforms`` count the transforms
     of points (the iterates and the trial points), not the cache build,
-    where the product kernel runs them.  ``trials`` counts the candidate
+    where the product kernel runs them: real FFTs, or for a small tensor
+    the products with its DFT matrices.  ``trials`` counts the candidate
     points tried and ``backtracks`` the rejected ones.  A curvilinear
     trial, of either step rule, is the quotient of one forward transform,
     and only the accepted trial adds the inverse transform of its gradient,
@@ -616,7 +625,7 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
 
 def power_method_baseline(spec: HankelSpec, kind: BTensorKind,
                           opts: SolverOptions) -> EigenResult:
-    """Shifted power iteration over the same FFT products, best of all starts.
+    """Shifted power iteration over the same fast products, best of all starts.
 
     The fixed-point map is ``x+ = normalize(s(H x^{m-1}) + shift * B x^{m-1})``
     (taken through the entrywise ``(m-1)``-th root for the diagonal reference

@@ -10,18 +10,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import product_time_ratio
+from conftest import product_time_ratio, random_unit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hankeleig
+from hankeleig import fft_products
 from hankeleig.dense_oracle import (dense_hessian, dense_xm, dense_xm1,
                                     dense_xm2, materialize)
-from hankeleig.fft_products import (HankelSpec, _fast_len, _norm, _workspace,
-                                    _xm1_from_power, _xm_and_power, hankel_xm,
-                                    hankel_xm1, make_cache)
-from hankeleig.objective import (BTensorKind, ReferenceProducts, _power,
-                                 evaluate, residual)
+from hankeleig.fft_products import (_DFT_MAX_ENTRIES, HankelSpec,
+                                    _dft_matrices, _fast_len, _norm,
+                                    _workspace, _xm1_from_power,
+                                    _xm_and_power, hankel_xm, hankel_xm1,
+                                    make_cache)
+from hankeleig.generators import Family, FamilySpec, generate
+from hankeleig.objective import (BTensorKind, ReferenceProducts, _evaluate,
+                                 _power, evaluate, residual)
 from hankeleig.solver import (Extreme, SolverOptions, cayley_step,
-                              curvilinear_search, solve)
+                              curvilinear_search, multistart, solve)
 
 
 def test_spec_validation():
@@ -333,8 +339,122 @@ def test_spectral_power_is_the_power_loop_bitwise(m, parity):
     for _ in range(5):
         x = rng.standard_normal(n)
         _xm_and_power(ws, x)
-        loop = _power(np.fft.rfft(x, cache.size), m - 1)
+        # the kernel's own forward transform: at these sizes the product
+        # with the cache's forward DFT matrix
+        z = np.dot(x, cache.dft[0]).view(complex)
+        loop = _power(z, m - 1)
         assert ws.power.tobytes() == loop.tobytes()
+
+
+def _dft_entries(m, n):
+    """The entries of each DFT matrix of an order-m, dimension-n tensor,
+    and whether its transform size is odd."""
+    size = _fast_len(m * (n - 1) + 1)
+    return n * 2 * (size // 2 + 1), size % 2 == 1
+
+
+def _largest_fitting(m):
+    """The largest n whose DFT matrices fit the bound."""
+    return next(n for n in range(1, 400)
+                if _dft_entries(m, n + 1)[0] > _DFT_MAX_ENTRIES)
+
+
+def _dimension(m, parity, side):
+    """The largest n whose matrices fit the bound ("below"), or the least
+    n past it ("above"), whose transform size has the given parity."""
+    odd, top = parity == "odd", _largest_fitting(m)
+    near = range(top, 0, -1) if side == "below" else range(top + 1, 400)
+    return next(n for n in near if _dft_entries(m, n)[1] == odd)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       k=st.integers(4, 600).flatmap(lambda k: st.sampled_from([k, -k])))
+def test_dft_and_fft_kernels_agree(m, parity, side, seed, k):
+    # The same products from the two transforms of the kernel, the matrix
+    # products of the DFT matrices and numpy.fft, to 1e-13 of the size of
+    # H x^{m-1}: below the bound the FFT path is forced by a copy of the
+    # cache without matrices, above it the DFT path by a copy with them.
+    # v is scaled by 2**k so that the cache's exponent is not 0.
+    n = _dimension(m, parity, side)
+    rng = np.random.default_rng(seed)
+    spec = HankelSpec(m, n, np.ldexp(rng.standard_normal(m * (n - 1) + 1), k))
+    cache = make_cache(spec)
+    assert cache.exponent != 0 and cache.size % 2 == (parity == "odd")
+    assert (cache.dft is None) == (side == "above")
+    fft = replace(cache, dft=None)
+    dft = replace(cache, dft=_dft_matrices(n, cache.size, cache.vhat))
+    x = random_unit(rng, n)
+    want1 = hankel_xm1(fft, spec, x)
+    scale = np.max(np.abs(want1))
+    tol = 1e-13 * scale
+    assert np.max(np.abs(hankel_xm1(dft, spec, x) - want1)) <= tol
+    assert abs(hankel_xm(dft, spec, x) - hankel_xm(fft, spec, x)) <= tol
+    if m % 2:
+        return  # the quotient needs an even order
+    for kind in BTensorKind:
+        want = _evaluate(kind, x, _workspace(spec, fft))
+        got = _evaluate(kind, x, _workspace(spec, dft))
+        assert abs(got.f - want.f) <= tol / want.bxm
+        assert np.max(np.abs(got.g - want.g)) <= m * tol / want.bxm
+        assert abs(got.residual - want.residual) <= tol
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_the_bound_selects_the_kernel(m):
+    # Each DFT matrix has n * 2 * (size//2 + 1) entries: at the bound or
+    # below it the cache holds both, past it neither, and the products on
+    # either side meet criterion 1 against v correlated with the
+    # (m-1)-fold convolution of x.
+    top = _largest_fitting(m)
+    rng = np.random.default_rng(m)
+    for n, fits in ((top, True), (top + 1, False)):
+        spec = HankelSpec(m, n, rng.standard_normal(m * (n - 1) + 1))
+        cache = make_cache(spec)
+        assert (cache.dft is not None) is fits
+        if fits:
+            k = cache.size // 2 + 1
+            forward, inverse = cache.dft
+            assert forward.shape == (n, 2 * k) and inverse.shape == (2 * k, n)
+            assert forward.size <= _DFT_MAX_ENTRIES
+            assert not forward.flags.writeable and not inverse.flags.writeable
+            ws = _workspace(spec, cache)  # bound, not copied
+            assert ws.forward is forward and ws.inverse is inverse
+        x = rng.standard_normal(n)
+        ref1 = np.correlate(spec.v, reduce(np.convolve, [x] * (m - 1)),
+                            "valid")
+        err1 = np.abs(hankel_xm1(cache, spec, x) - ref1) / (1.0 + np.abs(ref1))
+        assert np.max(err1) <= 1e-10
+        ref = float(ref1 @ x)
+        assert abs(hankel_xm(cache, spec, x) - ref) / (1.0 + abs(ref)) <= 1e-10
+
+
+def test_sine_multistart_is_the_fft_kernels(monkeypatch):
+    # The headline run on the DFT path takes the iterations of the FFT
+    # path, start by start, and finds the same eigenvalue to 1e-12.  Its
+    # one pair of matrices serves all starts.
+    spec = generate(FamilySpec(Family.SIN, 4, 5))
+    opts = SolverOptions(starts=100, seed=1, extreme=Extreme.MIN)
+    z = BTensorKind.Z_IDENTITY
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return _dft_matrices(*args)
+
+    monkeypatch.setattr(fft_products, "_dft_matrices", counted)
+    dft = multistart(spec, z, opts)
+    assert len(builds) == 1
+    monkeypatch.setattr(hankeleig.solver, "make_cache",
+                        lambda s: replace(make_cache(s), dft=None))
+    fft = multistart(spec, z, opts)
+    assert sum(r.iterations for r in dft.results) == 2223
+    assert ([r.iterations for r in dft.results]
+            == [r.iterations for r in fft.results])
+    assert abs(dft.best.eigenvalue - fft.best.eigenvalue) <= 1e-12
 
 
 def test_cache_keeps_one_half_spectrum():

@@ -267,10 +267,22 @@ class TestSolverOptions:
         dict(tol_rel=math.nan), dict(tol_rel=math.inf),
         dict(alpha_max=math.nan), dict(alpha_max=math.inf),
         dict(seed=-1), dict(extreme="min"),
+        dict(starts=2.5), dict(starts=3.0), dict(starts="3"),
+        dict(max_iter=math.nan), dict(max_iter=2.5), dict(max_iter=math.inf),
+        dict(seed=1.5), dict(seed=math.nan), dict(seed=None),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
+
+    @pytest.mark.parametrize("name", ["starts", "max_iter", "seed"])
+    def test_counts_are_integers(self, name):
+        # refused by name, not deep in multistart or SeedSequence; a numpy
+        # integer is kept as the int it stands for
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolverOptions(**{name: 2.5})
+        value = getattr(SolverOptions(**{name: np.int64(3)}), name)
+        assert type(value) is int and value == 3
 
     @pytest.mark.parametrize("constant", ["alpha_1", "max_backtracks"])
     def test_constants_are_not_settings(self, constant):
