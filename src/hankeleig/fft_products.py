@@ -42,7 +42,6 @@ carry the ``1/size`` factor (the numpy default).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,11 +243,12 @@ class _Workspace:
     products read and write; ``signal``, the first ``size`` floats of
     ``scratch``, where ``irfft`` writes; ``head``, its first ``n``, where
     ``H x^{m-1}`` is read; and ``spare``, the first ``n`` floats of
-    ``power``.  ``counts`` is keyed by
-    the field names of :class:`~hankeleig.solver.SolveStats`: the products
-    count the transforms they run, the solver's step rules their trials and
-    backtracks.  Its fields are bound once, when it is made.  Unlike the
-    cache, a workspace belongs to one caller at a time.
+    ``power``.  These fields are bound once, when it is made.  The four
+    counts that follow, all 0 at first, are the fields of
+    :class:`~hankeleig.solver.SolveStats`: the products count the
+    transforms they run, the solver's step rules their trials and
+    backtracks.  Unlike the cache, a workspace belongs to one caller at a
+    time.
     """
 
     m: int
@@ -267,7 +267,10 @@ class _Workspace:
     signal: np.ndarray
     head: np.ndarray
     spare: np.ndarray
-    counts: Counter
+    forward_transforms: int = 0
+    inverse_transforms: int = 0
+    trials: int = 0
+    backtracks: int = 0
 
 
 def _workspace(spec: HankelSpec, cache: SpectralCache) -> _Workspace:
@@ -286,7 +289,7 @@ def _workspace(spec: HankelSpec, cache: SpectralCache) -> _Workspace:
     return _Workspace(own.m, own.n, size, cache.exponent, vhat, vhat.item(0),
                       None if size % 2 else vhat.item(-1), forward, inverse,
                       power, scratch, power_floats, scratch_floats, signal,
-                      signal[: own.n], power_floats[: own.n], Counter())
+                      signal[: own.n], power_floats[: own.n])
 
 
 _FLOAT = np.dtype(float)
@@ -320,7 +323,7 @@ def _xm_and_power(ws: _Workspace, x: np.ndarray) -> float:
         np.fft.rfft(x, n=ws.size, out=z)
     else:
         np.dot(x, ws.forward, out=ws.scratch_floats)
-    ws.counts["forward_transforms"] += 1
+    ws.forward_transforms += 1
     # z**(m-1) by the loop of objective._power without its copy: z * z,
     # then z times that, so the bits are those of the m-fold loop
     if ws.m == 2:
@@ -356,7 +359,7 @@ def _xm1_from_power(ws: _Workspace) -> np.ndarray:
         np.fft.irfft(p, ws.size, out=ws.signal)
     else:
         np.dot(ws.power_floats, ws.inverse, out=ws.head)
-    ws.counts["inverse_transforms"] += 1
+    ws.inverse_transforms += 1
     if ws.exponent:
         np.ldexp(ws.head, ws.exponent, out=ws.head)
     return ws.head

@@ -78,9 +78,11 @@ ReferenceTensor = BTensorKind | ReferenceProducts
 # Slotted: the solver makes one per iteration.
 @dataclass(frozen=True, eq=False, slots=True)
 class ObjectiveEval:
-    """One objective evaluation: value, gradient, the four raw products and
-    the residual ``||H x^{m-1} - f B x^{m-1}||``.  Only :func:`evaluate`
-    keeps the vector products; the solver's ``hxm1`` and ``bxm1`` are None."""
+    """One objective evaluation: value, gradient, the four raw products,
+    the residual ``||H x^{m-1} - f B x^{m-1}||`` and ``grad_norm``, the
+    norm ``||g||`` of the gradient, taken once per point for every reader
+    of it.  Only :func:`evaluate` keeps the vector products; the solver's
+    ``hxm1`` and ``bxm1`` are None."""
 
     f: float
     g: np.ndarray
@@ -89,6 +91,7 @@ class ObjectiveEval:
     hxm1: np.ndarray | None
     bxm1: np.ndarray | None
     residual: float
+    grad_norm: float
 
 
 def _power(a: np.ndarray, k: int) -> np.ndarray:
@@ -222,7 +225,8 @@ def _gradient(kind: ReferenceTensor, x: np.ndarray,
     the Z identity is built from the norm of ``B x^m``, and g is built in
     the buffer of ``B x^{m-1}``, one of its own for every kind, so the
     evaluation allocates one vector; only :func:`evaluate` sets ``keep``,
-    which keeps both products, two more."""
+    which keeps both products, two more.  ``||g||`` is taken here, of the
+    final, projected ``g``, and nowhere else in a run."""
     f, hxm, bxm, nrm = quotient
     hxm1 = _xm1_from_power(ws)
     m = ws.m
@@ -240,8 +244,8 @@ def _gradient(kind: ReferenceTensor, x: np.ndarray,
     # once the iterate approaches an eigenvector.
     g -= np.multiply(x.dot(g), x, out=ws.spare)
     if keep:
-        return ObjectiveEval(f, g, hxm, bxm, hxm1.copy(), bxm1, res)
-    return ObjectiveEval(f, g, hxm, bxm, None, None, res)
+        return ObjectiveEval(f, g, hxm, bxm, hxm1.copy(), bxm1, res, _norm(g))
+    return ObjectiveEval(f, g, hxm, bxm, None, None, res, _norm(g))
 
 
 def residual(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,

@@ -127,6 +127,11 @@ class SolverOptions:
     keep_path: bool = False
 
     def __post_init__(self):
+        for name in ("eta", "beta", "alpha_max", "tol_rel", "max_iter",
+                     "starts", "seed"):
+            # a bool would pass every check below as 0 or 1
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
         for name in ("max_iter", "starts", "seed"):
             value = getattr(self, name)
             try:  # a numpy integer passes, a float (even 3.0) or NaN does not
@@ -219,7 +224,8 @@ class SolveStats:
     trial, of either step rule, is the quotient of one forward transform,
     and only the accepted trial adds the inverse transform of its gradient,
     so a run of ``k`` iterations uses ``1 + trials`` forward and ``1 + k``
-    inverse transforms.
+    inverse transforms.  The run's workspace counts all four in ``int``
+    fields of these names, from which the stats are built.
     """
 
     forward_transforms: int = 0
@@ -276,18 +282,29 @@ def _sign(extreme: Extreme) -> float:
     raise ValueError(f"extreme must be an Extreme, got {extreme!r}")
 
 
-def _step_args(x: np.ndarray, p, alpha: float) -> tuple[np.ndarray, float]:
+def _step_args(x: np.ndarray, p, alpha: float, p_norm: float | None = None
+               ) -> tuple[np.ndarray, float]:
     """``(p, alpha * ||p||)`` for a ``p`` of the length of ``x`` and a
     finite positive ``alpha``: the one check of both step functions.
-    ``||p||`` is :func:`_norm`'s, exact to rounding at any scale."""
+    ``||p||`` is ``p_norm`` if given, else :func:`_norm`'s, exact to
+    rounding at any scale."""
     p = _vector(p, x.size, "p")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    return p, alpha * _norm(p)
+    return p, alpha * (_norm(p) if p_norm is None else p_norm)
+
+
+def _chord(t: float) -> float:
+    """``2 t / sqrt(1 + t^2)``: how far a step with ``t = alpha * ||p||``
+    moves a unit ``x`` along the Cayley curve of a tangent ``p``."""
+    if t == math.inf:  # the antipodal limit, where inf / inf would be nan
+        return 2.0
+    return 2.0 * (t / math.hypot(1.0, t))
 
 
 def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
-                extreme: Extreme, out: np.ndarray | None = None) -> np.ndarray:
+                extreme: Extreme, out: np.ndarray | None = None, *,
+                p_norm: float | None = None) -> np.ndarray:
     """Move along the sphere-preserving Cayley curve.
 
     For the MIN variant ``x+ = ((1 - a) x - 2 alpha p) / (1 + a)`` with
@@ -296,9 +313,13 @@ def cayley_step(x: np.ndarray, p: np.ndarray, alpha: float,
     rounding and is not renormalised: a trial point is exactly a linear
     combination of ``x`` and ``p``.  It is written into ``out``, an array
     of the shape of ``x`` that may be ``x`` or ``p``, if one is given.
+    ``p_norm``, if given, is taken for ``||p||`` unchecked, so it must be
+    :func:`~hankeleig.fft_products._norm` of ``p``, as the
+    ``grad_norm`` of an :class:`~hankeleig.objective.ObjectiveEval` is of
+    its ``g``; then the step is the one without it, to the last bit.
     """
     x = np.asarray(x, dtype=float)
-    p, t = _step_args(x, p, alpha)
+    p, t = _step_args(x, p, alpha, p_norm)
     u = t * t
     # (1 - u) / (1 + u) and 2 alpha / (1 + u) rewritten so huge
     # alpha*||p|| degrades to the antipode instead of overflowing to nan;
@@ -318,25 +339,22 @@ def step_length(x: np.ndarray, p: np.ndarray, alpha: float) -> float:
     positive ``alpha`` and a ``p`` of the length of ``x``; the same for
     both extreme variants.  ``x`` does not enter the value.
     """
-    _, t = _step_args(np.asarray(x, dtype=float), p, alpha)
-    if t == math.inf:  # the antipodal limit, where inf / inf would be nan
-        return 2.0
-    return 2.0 * (t / math.hypot(1.0, t))
+    return _chord(_step_args(np.asarray(x, dtype=float), p, alpha)[1])
 
 
-def _bb_step(dx: np.ndarray, dp: np.ndarray, alpha_max: float,
+def _bb_step(ndx: float, ndp: float, alpha_max: float,
              fallback: float, scale: float) -> float:
-    """Geometric-mean Barzilai-Borwein trial step ``||dx|| / ||dp||``.
+    """Geometric-mean Barzilai-Borwein trial step ``||dx|| / ||dp||``,
+    from the two norms.
 
     Clamped to ``[1e-10 / scale, alpha_max]``.  The ratio scales as
     ``1/lambda``, so :func:`solve` passes ``scale = max(1, |f|)`` at the new
     iterate and the floor is relative to the eigenvalue.  A zero gradient
     difference carries the previous trial step, ``fallback``, forward.
     """
-    ndp = _norm(dp)
     if ndp == 0.0:
         return fallback
-    return min(max(_norm(dx) / ndp, _BB_FLOOR / scale), alpha_max)
+    return min(max(ndx / ndp, _BB_FLOOR / scale), alpha_max)
 
 
 def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
@@ -349,15 +367,17 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
     Tries ``alpha = beta^j * alpha_bar`` for ``j = 0, 1, ...`` and accepts
     the first trial with ``f(x+) <= f(x_k) - eta * alpha * ||g||^2`` (MIN;
     the mirrored inequality for MAX).  Returns ``(alpha, x+, eval+, j)``.
-    A trial is the quotient of one forward transform; only the accepted
-    one adds the inverse transform of ``eval+``, so ``B x^m`` is taken once
-    per trial.  Every trial is built in one vector, which becomes ``x+``,
-    and ``eval+`` keeps the residual, not the vector products.  The
-    transforms run in ``workspace``, which carries the cache, from
-    :func:`~hankeleig.fft_products._workspace` (a fresh one of ``spec`` and
-    ``cache`` if it is not given); it is free again on return and counts
-    the trials, backtracks and transforms.  :func:`solve` passes one
-    workspace to every search of a run.
+    ``||g||`` is ``eval_k.grad_norm``, which every trial's
+    :func:`cayley_step` takes as its ``p_norm``, so the search takes no
+    norm of its own.  A trial is the quotient of one forward transform;
+    only the accepted one adds the inverse transform of ``eval+``, so
+    ``B x^m`` is taken once per trial.  Every trial is built in one vector,
+    which becomes ``x+``, and ``eval+`` keeps the residual, not the vector
+    products.  The transforms run in ``workspace``, a
+    :func:`~hankeleig.fft_products._workspace` of ``spec`` and ``cache``
+    (a fresh one if it is not given); it is free again on return and
+    counts the trials, backtracks and transforms.  :func:`solve` passes
+    one workspace to every search of a run.
 
     Raises :class:`LineSearchStallError` after ``max_backtracks`` rejected
     trials, or once the trial step underflows to zero, before that trial;
@@ -370,23 +390,24 @@ def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
     g = _vector(eval_k.g, spec.n, "g")
     sgn = _sign(opts.extreme)
     f_k = eval_k.f
-    gnorm2 = float(g.dot(g))
+    gnorm = eval_k.grad_norm
+    gnorm2 = gnorm * gnorm  # inf where the square overflows, not an error
     x_trial = np.empty_like(x_k)
-    beta, eta, extreme, counts = opts.beta, opts.eta, opts.extreme, ws.counts
+    beta, eta, extreme = opts.beta, opts.eta, opts.extreme
     for j in range(opts.max_backtracks + 1):
         alpha = alpha_bar * beta ** j
         if alpha == 0.0:  # a small beta reaches the bottom of the floats
             raise LineSearchStallError(
                 f"the trial step underflowed to zero after {j} backtracks")
-        cayley_step(x_k, g, alpha, extreme, out=x_trial)
-        counts["trials"] += 1
+        cayley_step(x_k, g, alpha, extreme, out=x_trial, p_norm=gnorm)
+        ws.trials += 1
         trial = _quotient(kind, x_trial, ws)
         f_trial = trial[0]
         # Strict inequality keeps the trace strictly monotone even when the
         # required decrease rounds to nothing.
         if sgn * (f_trial - f_k) >= eta * alpha * gnorm2 and f_trial != f_k:
             return alpha, x_trial, _gradient(kind, x_trial, trial, ws), j
-        counts["backtracks"] += 1
+        ws.backtracks += 1
     raise LineSearchStallError(
         f"no sufficient decrease within {opts.max_backtracks} backtracks"
     )
@@ -423,10 +444,11 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
 
     ``first_step(spec, cache, kind, opts, ev_1)`` returns the step rule
     ``step(x, ev, ws) -> (x+, ev+, alpha_k, backtracks)``, which counts its
-    trials and backtracks in ``ws.counts`` and raises
+    trials and backtracks in ``ws.trials`` and ``ws.backtracks`` and raises
     :class:`LineSearchStallError` when it finds no acceptable point.  The
     run is on the cache of ``v * 2**-e`` (the same spectra with exponent
-    0), in one workspace, whose counts become its :class:`SolveStats`.
+    0), in one workspace, whose four counts become its :class:`SolveStats`.
+    A trace row's gradient norm is the ``grad_norm`` of its evaluation.
     Each iteration appends a tuple to the trace, which is packed into one
     array of ``_ROW`` when the run ends.  The result is scaled back:
     lambda, the residual and the trace by ``2**e``, and the trace's steps,
@@ -446,7 +468,7 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     termination = Termination.MAX_ITER
     rel_change = math.inf
     while True:
-        gnorm = _norm(ev.g)
+        gnorm = ev.grad_norm
         if rel_change < tol:
             termination = Termination.CONVERGED
             break
@@ -485,14 +507,17 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     return EigenResult(eigenvalue=lam, x=x, residual=res,
                        iterations=iterations, termination=termination,
                        trace=_Trace(trace), path=path,
-                       stats=SolveStats(**ws.counts))
+                       stats=SolveStats(ws.forward_transforms,
+                                        ws.inverse_transforms, ws.trials,
+                                        ws.backtracks))
 
 
 def _search_rule(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
                  opts: SolverOptions, ev_1: ObjectiveEval):
     """The paper's step: :func:`curvilinear_search` from the
     Barzilai-Borwein trial step, ``min(alpha_1 / max(1, |f_1|), alpha_max)``
-    at first."""
+    at first.  The step's ``||x+ - x||`` is :func:`step_length`'s closed
+    form of the accepted ``alpha_k * ||g||``, which the search used."""
     alpha_bar = min(opts.alpha_1 / max(1.0, abs(ev_1.f)), opts.alpha_max)
 
     def step(x, ev, ws):
@@ -500,9 +525,9 @@ def _search_rule(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
         alpha_k, x_new, ev_new, backtracks = curvilinear_search(
             spec, cache, kind, x, ev, alpha_bar, opts, ws)
         # the workspace is free until the next search
-        dx = np.subtract(x_new, x, out=ws.spare)
         dg = np.subtract(ev_new.g, ev.g, out=ws.head)
-        alpha_bar = _bb_step(dx, dg, opts.alpha_max, alpha_bar,
+        alpha_bar = _bb_step(_chord(alpha_k * ev.grad_norm), _norm(dg),
+                             opts.alpha_max, alpha_bar,
                              max(1.0, abs(ev_new.f)))
         return x_new, ev_new, alpha_k, backtracks
 
@@ -609,14 +634,14 @@ def _power_rule(spec: HankelSpec, cache: SpectralCache, kind: BTensorKind,
                 np.power(np.abs(x_new, out=t), root, out=t)
                 np.copysign(t, x_new, out=x_new)
             x_new /= _norm(x_new)
-            ws.counts["trials"] += 1
+            ws.trials += 1
             trial = _quotient(kind, x_new, ws)
             f_new = trial[0]
             if sgn * (f_new - ev.f) >= -1e-14 * max(1.0, abs(ev.f)):
                 taken, shift = 1.0 / shift, max(shift, abs(f_new) + 1.0)
                 ev_new = _gradient(kind, x_new, trial, ws)
                 return x_new, ev_new, taken, repairs
-            ws.counts["backtracks"] += 1
+            ws.backtracks += 1
         raise LineSearchStallError(
             f"no monotone step within {opts.max_backtracks} shift doublings")
 

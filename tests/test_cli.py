@@ -473,11 +473,11 @@ def test_failed_write_names_the_path(capsys, tmp_path, monkeypatch):
 
 
 def test_stalled_start_does_not_fail_a_converged_solve(capsys):
-    # start 0 stalls with a lambda 9e-16 relative above the best converged
-    # one; the best is chosen among the seven starts that converged
+    # start 0 stalls with the lambda of the best converged one; the best is
+    # chosen among the nine starts that converged
     code, stdout, _ = run(capsys, "solve", "--family", "vandermonde",
                           "--order", "4", "--dim", "1000", "--btensor", "z",
-                          "--extreme", "max", "--starts", "10", "--seed", "4")
+                          "--extreme", "max", "--starts", "10", "--seed", "17")
     assert code == 0
     payload = strict_json(stdout)
     assert payload["termination"] == "converged"
