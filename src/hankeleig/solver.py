@@ -5,13 +5,15 @@ differ only in the step rule it is given.  The paper's rule moves along
 the sphere-preserving curve obtained from a Cayley transform of a
 rank-two skew matrix built from the iterate and the gradient: a
 backtracking search enforces sufficient decrease (increase, for the
-largest eigenvalue) and the next trial step comes from the geometric mean
-of the two Barzilai-Borwein step sizes.  The shifted power rule of the
-cross-check baseline normalises a shifted product instead.  The loop
-stops when the objective stalls in relative terms.  A multistart driver
-sits on top.  A run makes one :func:`curvilinear_search` per iteration and
-one :func:`cayley_step` per trial, and keeps its constants and buffers in
-one workspace (see :func:`~hankeleig.fft_products._workspace`).
+largest eigenvalue) and the next trial step is the geometric mean of the
+two Barzilai-Borwein step sizes, taken in the curve's own parameter: the
+curve is Wen and Yin's ``Y(tau)`` at ``tau = 2 alpha``, so the trial step
+is half that mean.  The shifted power rule of the cross-check baseline
+normalises a shifted product instead.  The loop stops when the objective
+stalls in relative terms.  A multistart driver sits on top.  A run makes
+one :func:`curvilinear_search` per iteration and one :func:`cayley_step`
+per trial, and keeps its constants and buffers in one workspace (see
+:func:`~hankeleig.fft_products._workspace`).
 
 Both iterations run on the normalised tensor ``v * 2**-e`` of the spectral
 cache (see :class:`~hankeleig.fft_products.SpectralCache`) and scale the
@@ -344,17 +346,22 @@ def step_length(x: np.ndarray, p: np.ndarray, alpha: float) -> float:
 
 def _bb_step(ndx: float, ndp: float, alpha_max: float,
              fallback: float, scale: float) -> float:
-    """Geometric-mean Barzilai-Borwein trial step ``||dx|| / ||dp||``,
-    from the two norms.
+    """The Barzilai-Borwein trial step in the curve's parameter,
+    ``||dx|| / (2 ||dp||)``, from the two norms.
 
-    Clamped to ``[1e-10 / scale, alpha_max]``.  The ratio scales as
-    ``1/lambda``, so :func:`solve` passes ``scale = max(1, |f|)`` at the new
-    iterate and the floor is relative to the eigenvalue.  A zero gradient
-    difference carries the previous trial step, ``fallback``, forward.
+    The geometric-mean BB step ``tau = ||dx|| / ||dp||`` is a step along a
+    curve of velocity ``-g`` (``+g`` for MAX) at 0, as Wen and Yin's
+    ``Y(tau)`` is.  :func:`cayley_step` has velocity ``x'(0) = -2g``
+    (``+2g``): it is ``Y(tau)`` at ``tau = 2 alpha``, so the BB step in its
+    parameter is ``alpha = tau / 2``.  Clamped, after the halving, to
+    ``[1e-10 / scale, alpha_max]``.  The ratio scales as ``1/lambda``, so
+    :func:`solve` passes ``scale = max(1, |f|)`` at the new iterate and the
+    floor is relative to the eigenvalue.  A zero gradient difference carries
+    the previous trial step, ``fallback``, forward.
     """
     if ndp == 0.0:
         return fallback
-    return min(max(ndx / ndp, _BB_FLOOR / scale), alpha_max)
+    return min(max(ndx / (2.0 * ndp), _BB_FLOOR / scale), alpha_max)
 
 
 def curvilinear_search(spec: HankelSpec, cache: SpectralCache,
@@ -514,10 +521,11 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
 
 def _search_rule(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
                  opts: SolverOptions, ev_1: ObjectiveEval):
-    """The paper's step: :func:`curvilinear_search` from the
-    Barzilai-Borwein trial step, ``min(alpha_1 / max(1, |f_1|), alpha_max)``
-    at first.  The step's ``||x+ - x||`` is :func:`step_length`'s closed
-    form of the accepted ``alpha_k * ||g||``, which the search used."""
+    """:func:`curvilinear_search` from the BB step in the curve's
+    parameter, ``tau = 2 alpha`` (:func:`_bb_step`), and from
+    ``min(alpha_1 / max(1, |f_1|), alpha_max)`` at first.  The step's
+    ``||x+ - x||`` is :func:`step_length`'s closed form of the accepted
+    ``alpha_k * ||g||``, which the search used."""
     alpha_bar = min(opts.alpha_1 / max(1.0, abs(ev_1.f)), opts.alpha_max)
 
     def step(x, ev, ws):

@@ -26,8 +26,9 @@ from hankeleig.fft_products import (_DFT_MAX_ENTRIES, HankelSpec,
 from hankeleig.generators import Family, FamilySpec, generate
 from hankeleig.objective import (BTensorKind, ReferenceProducts, _evaluate,
                                  _power, evaluate, residual)
-from hankeleig.solver import (Extreme, SolverOptions, cayley_step,
-                              curvilinear_search, multistart, solve)
+from hankeleig.solver import (Extreme, SolverOptions, Termination,
+                              cayley_step, curvilinear_search, multistart,
+                              solve)
 
 
 def test_spec_validation():
@@ -434,8 +435,11 @@ def test_the_bound_selects_the_kernel(m):
 
 def test_sine_multistart_is_the_fft_kernels(monkeypatch):
     # The headline run on the DFT path takes the iterations of the FFT
-    # path, start by start, and finds the same eigenvalue to 1e-12.  Its
-    # one pair of matrices serves all starts.
+    # path, start by start, and finds the same eigenvalue to 1e-12.  A
+    # start whose last step is at the rounding floor of the Armijo test
+    # ([floor] in ROADMAP.md) may stall there on one path and take that
+    # step on the other: 3 of these 100 do.  Its one pair of matrices
+    # serves all starts.
     spec = generate(FamilySpec(Family.SIN, 4, 5))
     opts = SolverOptions(starts=100, seed=1, extreme=Extreme.MIN)
     z = BTensorKind.Z_IDENTITY
@@ -451,9 +455,16 @@ def test_sine_multistart_is_the_fft_kernels(monkeypatch):
     monkeypatch.setattr(hankeleig.solver, "make_cache",
                         lambda s: replace(make_cache(s), dft=None))
     fft = multistart(spec, z, opts)
-    assert sum(r.iterations for r in dft.results) == 2223
-    assert ([r.iterations for r in dft.results]
-            == [r.iterations for r in fft.results])
+    assert sum(r.iterations for r in dft.results) == 1381
+    apart = 0
+    for a, b in zip(dft.results, fft.results):
+        if a.iterations != b.iterations:
+            apart += 1
+            shorter, longer = sorted((a, b), key=lambda r: r.iterations)
+            assert shorter.termination is Termination.LINESEARCH_STALL
+            assert longer.iterations == shorter.iterations + 1
+        assert a.eigenvalue == pytest.approx(b.eigenvalue, rel=1e-12)
+    assert apart <= 3
     assert abs(dft.best.eigenvalue - fft.best.eigenvalue) <= 1e-12
 
 

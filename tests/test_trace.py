@@ -38,7 +38,7 @@ def test_a_kept_trace_row_costs_under_100_bytes():
         kept = alive - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert rows == 2323
+    assert rows == 1481
     assert kept < 100 * rows, kept / rows
 
 
