@@ -752,6 +752,24 @@ class TestMultistart:
         assert out.best.eigenvalue == pytest.approx(10197997.415291505,
                                                     rel=1e-12)
 
+    def test_sine_starts_that_stall_at_the_rounding_floor(self):
+        # [floor] in ROADMAP.md: in the headline run the Armijo test meets
+        # the rounding floor of f before the lambda test fires at start
+        # seeds 30 and 91, closer to an eigenpair than the worst start that
+        # converges.  Pinned, so a change that stalls more starts fails.
+        spec = generate(FamilySpec(Family.SIN, 4, 5))
+        out = multistart(spec, Z, SolverOptions(starts=100, seed=1,
+                                                extreme=Extreme.MIN))
+        ends = {True: [], False: []}
+        for i, r in enumerate(out.results):
+            stalled = r.termination is Termination.LINESEARCH_STALL
+            assert stalled or r.termination is Termination.CONVERGED
+            ends[stalled].append((1 + i, r.residual / abs(r.eigenvalue)))
+        assert [seed for seed, _ in ends[True]] == [30, 91]
+        assert (max(rel for _, rel in ends[True])
+                < max(rel for _, rel in ends[False]))
+        assert out.best.termination is Termination.CONVERGED
+
     @pytest.mark.parametrize("extreme,values,first", [
         (Extreme.MIN, [2.0, 1.0, 1.0, 3.0], 1),
         (Extreme.MAX, [3.0, 1.0, 3.0, 0.0], 0),
