@@ -74,12 +74,18 @@ class HankelSpec:
     v: np.ndarray
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 2:
-            raise ValueError(f"tensor order m must be an integer >= 2, got {self.m}")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"dimension n must be an integer >= 1, got {self.n}")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "n", int(self.n))
+        for name, what, low in (("m", "tensor order", 2),
+                                ("n", "dimension", 1)):
+            value = getattr(self, name)
+            try:  # an integral float such as 4.0 passes, a bool does not
+                ok = (not isinstance(value, (bool, np.bool_))
+                      and int(value) == value >= low)
+            except (OverflowError, ValueError):  # int() of inf or NaN
+                ok = False
+            if not ok:
+                raise ValueError(f"{what} {name} must be an integer >= {low}, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, int(value))
         v = np.array(self.v, dtype=float, copy=True).reshape(-1)
         if v.size != self.ell:
             raise ValueError(

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import ClassVar
@@ -44,7 +43,6 @@ __all__ = [
     "Extreme",
     "Termination",
     "SolverOptions",
-    "IterationRecord",
     "SolveStats",
     "EigenResult",
     "OccurrenceBin",
@@ -157,60 +155,9 @@ class SolverOptions:
         _sign(self.extreme)  # refuses anything but an Extreme
 
 
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
-    """One trace row.
-
-    ``alpha_k`` is the accepted step size leaving iterate ``k`` (0.0 on the
-    terminal row) and ``backtracks`` counts rejected trials in that search.
-    Every value is in the units of the generating vector; a step that does
-    not fit a float64 in them (steps scale as ``1/lambda``, so only for a
-    ``v`` near the bottom of the subnormal range) reads ``inf``.  A trace
-    keeps its rows packed and makes a record each time a row is read.
-    """
-
-    k: int
-    lambda_k: float
-    grad_norm: float
-    alpha_k: float
-    backtracks: int
-
-
-# A packed trace row, 32 B; its k is the row number plus one.
-_ROW = np.dtype([("lambda_k", "f8"), ("grad_norm", "f8"), ("alpha_k", "f8"),
-                 ("backtracks", "i8")])
-
-
-class _Trace(Sequence):
-    """The read-only trace of one run: a sequence of :class:`IterationRecord`
-    made on access from one packed array of rows.  A slice is a list of
-    records, and a trace equals a list of equal records or another trace."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: np.ndarray = np.empty(0, _ROW)):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        k = range(1, len(self) + 1)[i]  # a negative i counts from the end
-        return IterationRecord(k, *self._rows[k - 1].item())
-
-    def __iter__(self):
-        for k, row in enumerate(self._rows.tolist(), 1):
-            yield IterationRecord(k, *row)
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, _Trace)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+# A trace row, 32 B, of a record dtype, so a row reads as ``row.alpha_k``.
+_ROW = np.dtype((np.record, [("lambda_k", "f8"), ("grad_norm", "f8"),
+                             ("alpha_k", "f8"), ("backtracks", "i8")]))
 
 
 # Slotted: one record is kept per start.
@@ -240,9 +187,13 @@ class SolveStats:
 class EigenResult:
     """Outcome of one solver run.
 
-    ``trace`` is a read-only sequence of :class:`IterationRecord`, one per
-    visited iterate, kept as one packed array of 32 B a row (empty if the
-    result is built without one).
+    ``trace`` is a read-only array of ``_ROW`` records, one per visited
+    iterate (empty if the result is built without one): ``trace[k - 1]`` is
+    iterate ``k``, and reads as ``.lambda_k``, ``.grad_norm``, ``.alpha_k``
+    and ``.backtracks``.  Every value is in the units of the generating
+    vector; a step that does not fit a float64 in them (steps scale as
+    ``1/lambda``, so only for a ``v`` near the bottom of the subnormal
+    range) reads ``inf``.
     """
 
     eigenvalue: float
@@ -250,7 +201,7 @@ class EigenResult:
     residual: float
     iterations: int
     termination: Termination
-    trace: Sequence[IterationRecord] = field(default_factory=_Trace)
+    trace: np.ndarray = field(default_factory=lambda: np.empty(0, _ROW))
     path: list[np.ndarray] | None = None
     stats: SolveStats = field(default_factory=SolveStats)
 
@@ -461,7 +412,8 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
     lambda, the residual and the trace by ``2**e``, and the trace's steps,
     which scale as ``1/lambda``, by ``2**-e``; a step that overflows reads
     ``inf``.  Raises :class:`ResultOverflowError` when lambda, the residual
-    or a gradient norm does not fit a float64 once scaled.
+    or a gradient norm does not fit a float64 once scaled.  The scaled
+    trace is made read-only.
     """
     exponent = cache.exponent
     if exponent:
@@ -511,9 +463,10 @@ def _iterate(spec: HankelSpec, cache: SpectralCache, kind: ReferenceTensor,
                 f"the result overflows float64 when scaled back by "
                 f"2**{exponent}, the power of two nearest max|v|"
             )
+    trace.setflags(write=False)
     return EigenResult(eigenvalue=lam, x=x, residual=res,
                        iterations=iterations, termination=termination,
-                       trace=_Trace(trace), path=path,
+                       trace=trace, path=path,
                        stats=SolveStats(ws.forward_transforms,
                                         ws.inverse_transforms, ws.trials,
                                         ws.backtracks))

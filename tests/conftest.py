@@ -20,6 +20,16 @@ def raw_quotient_gradient(spec, cache, kind, x):
     return (spec.m / bxm) * (hxm1 - f * b_xm1(kind, spec.m, x))
 
 
+def scaled_trace(trace, k):
+    """The trace of a run on ``2**k * v`` from the trace of the run on
+    ``v``: lambda and the gradient norms scaled by ``2**k``, the steps, which
+    scale as ``1/lambda``, by ``2**-k``."""
+    out = trace.copy()
+    for name, e in (("lambda_k", k), ("grad_norm", k), ("alpha_k", -k)):
+        out[name] = np.ldexp(trace[name], e)
+    return out
+
+
 def random_unit(rng, n):
     while True:
         x = rng.standard_normal(n)

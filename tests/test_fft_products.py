@@ -41,6 +41,14 @@ def test_spec_validation():
     spec = HankelSpec(m=3, n=2, v=[0.0, 1.0, 2.0, 3.0])
     assert spec.ell == 4
     assert spec.v.dtype == np.float64
+    # a non-finite or boolean m or n is a ValueError that names it
+    for bad in (math.inf, -math.inf, math.nan, True, np.True_, 2.5):
+        with pytest.raises(ValueError, match="tensor order m "):
+            HankelSpec(m=bad, n=2, v=np.zeros(3))
+        with pytest.raises(ValueError, match="dimension n "):
+            HankelSpec(m=2, n=bad, v=np.zeros(3))
+    spec = HankelSpec(m=4.0, n=np.float64(2.0), v=np.zeros(5))
+    assert (spec.m, spec.n) == (4, 2) and type(spec.m) is type(spec.n) is int
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

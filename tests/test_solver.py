@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import random_unit
+from conftest import random_unit, scaled_trace
 
 import hankeleig
 import hankeleig.objective as objective_mod
@@ -427,7 +427,8 @@ class TestCacheBelongsToItsTensor:
         assert shared.eigenvalue == own.eigenvalue
         assert np.array_equal(shared.x, own.x)
         assert shared.residual == own.residual
-        assert shared.trace == own.trace and shared.stats == own.stats
+        assert shared.trace.tobytes() == own.trace.tobytes()
+        assert shared.stats == own.stats
         assert all(np.array_equal(a, b) for a, b in zip(shared.path, own.path))
         assert len(shared.path) == len(own.path)
 
@@ -535,7 +536,8 @@ class TestSolve:
             res = solve(spec, Z, SolverOptions(), x_1=np.full(5, c))
         assert res.eigenvalue == base.eigenvalue
         assert np.array_equal(res.x, base.x)
-        assert res.trace == base.trace and res.stats == base.stats
+        assert res.trace.tobytes() == base.trace.tobytes()
+        assert res.stats == base.stats
 
     def test_trial_point_with_nonpositive_reference_raises(self):
         # The start lies where B x^m > 0; a line-search trial of the run
@@ -563,10 +565,7 @@ class TestScaleCovariance:
         assert res.residual == math.ldexp(base.residual, k)
         assert np.array_equal(res.x, base.x)
         assert res.stats == base.stats
-        assert res.trace == [replace(r, lambda_k=math.ldexp(r.lambda_k, k),
-                                     grad_norm=math.ldexp(r.grad_norm, k),
-                                     alpha_k=math.ldexp(r.alpha_k, -k))
-                             for r in base.trace]
+        assert res.trace.tobytes() == scaled_trace(base.trace, k).tobytes()
 
     def test_result_overflow_is_a_value_error(self):
         # lambda_max = 1e308 * 5**2 does not fit a float64
@@ -595,11 +594,12 @@ class TestScaleCovariance:
         assert np.array_equal(res.x, base.x)
         assert res.stats == base.stats
         # a product with a power of two is exact, or inf where it overflows
-        assert res.trace == [
-            replace(r, lambda_k=math.ldexp(r.lambda_k, -1030),
-                    grad_norm=math.ldexp(r.grad_norm, -1030),
-                    alpha_k=r.alpha_k * math.ldexp(1.0, 1000) * 2.0 ** 30)
-            for r in base.trace]
+        want = base.trace.copy()
+        for name in ("lambda_k", "grad_norm"):
+            want[name] = np.ldexp(base.trace[name], -1030)
+        want["alpha_k"] = [float(a) * math.ldexp(1.0, 1000) * 2.0 ** 30
+                           for a in base.trace["alpha_k"]]
+        assert res.trace.tobytes() == want.tobytes()
         alphas = [r.alpha_k for r in res.trace]
         assert math.inf in alphas and any(0.0 < a < math.inf for a in alphas)
 
@@ -640,7 +640,7 @@ class TestMultistart:
             direct = solve(spec, Z, replace(opts, seed=opts.seed + i))
             assert res.eigenvalue == direct.eigenvalue
             assert np.array_equal(res.x, direct.x)
-            assert res.trace == direct.trace
+            assert res.trace.tobytes() == direct.trace.tobytes()
             assert res.stats == direct.stats
 
     def test_shared_cache_serves_concurrent_solves(self):
@@ -894,12 +894,10 @@ class TestMultistart:
         assert builds == []
 
 
-def test_results_and_trace_rows_are_slotted():
-    # a run keeps one trace row per iteration, a multistart one result per
-    # start: no per-instance __dict__ on either
+def test_results_are_slotted():
+    # a multistart keeps one result per start: no per-instance __dict__
     res = solve(_sine(), Z, SolverOptions(seed=1))
     assert not hasattr(res, "__dict__")
-    assert not hasattr(res.trace[0], "__dict__")
 
 
 class TestSolveStats:
@@ -1106,7 +1104,8 @@ class TestWorkspace:
             solo = solo_runs[i]
             assert run.eigenvalue == solo.eigenvalue
             assert np.array_equal(run.x, solo.x)
-            assert run.trace == solo.trace and run.stats == solo.stats
+            assert run.trace.tobytes() == solo.trace.tobytes()
+            assert run.stats == solo.stats
         assert mismatches == []
         for i in (0, 1):
             dense = materialize(specs[i])
@@ -1257,10 +1256,8 @@ class TestPowerMethodBaseline:
         assert small.eigenvalue == math.ldexp(base.eigenvalue, -20)
         assert np.array_equal(small.x, base.x)
         # alpha_k holds 1/shift, a step, which scales as 1/lambda
-        assert small.trace == [replace(r, lambda_k=math.ldexp(r.lambda_k, -20),
-                                       grad_norm=math.ldexp(r.grad_norm, -20),
-                                       alpha_k=math.ldexp(r.alpha_k, 20))
-                               for r in base.trace]
+        assert (small.trace.tobytes()
+                == scaled_trace(base.trace, -20).tobytes())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             huge = power_method_baseline(_sine(1e300), Z, opts)

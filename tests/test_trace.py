@@ -1,17 +1,15 @@
-"""The trace of a run: a read-only sequence of records, kept packed."""
+"""The trace of a run: one read-only array of packed records."""
 
 import gc
 import tracemalloc
-from collections.abc import Sequence
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from hankeleig.generators import Family, FamilySpec, generate
 from hankeleig.objective import BTensorKind
-from hankeleig.solver import (EigenResult, IterationRecord, SolverOptions,
-                              Termination, multistart, solve)
+from hankeleig.solver import (_ROW, EigenResult, SolverOptions, Termination,
+                              multistart, solve)
 
 Z = BTensorKind.Z_IDENTITY
 
@@ -42,32 +40,26 @@ def test_a_kept_trace_row_costs_under_100_bytes():
     assert kept < 100 * rows, kept / rows
 
 
-def test_trace_is_a_read_only_sequence_of_records():
+def test_trace_is_a_read_only_record_array():
     res = solve(_sine(), Z, SolverOptions(seed=1))
     trace = res.trace
-    rows = list(trace)
-    assert isinstance(trace, Sequence)
-    assert len(trace) == len(rows) == res.iterations + 1 > 3
-    assert [type(r) for r in rows] == [IterationRecord] * len(rows)
-    assert [r.k for r in rows] == list(range(1, len(rows) + 1))
-    assert all(type(r.lambda_k) is float and type(r.backtracks) is int
-               for r in rows)
-    assert trace[-1] == rows[-1] and trace[-1].alpha_k == 0.0
-    assert trace[-len(rows)] == trace[0] == rows[0]
-    with pytest.raises(IndexError):
-        trace[len(rows)]
-    assert trace[1:3] == rows[1:3] and trace[::-1] == rows[::-1]
-    assert trace == rows and rows == trace and trace != rows[:-1]
-    assert trace == solve(_sine(), Z, SolverOptions(seed=1)).trace
-    assert trace != solve(_sine(), Z, SolverOptions(seed=2)).trace
-    with pytest.raises(TypeError):
-        trace[0] = rows[0]
-    with pytest.raises(FrozenInstanceError):
-        trace[0].lambda_k = 0.0
-    assert trace == rows
+    assert trace.dtype is _ROW and trace.dtype.itemsize == 32
+    assert trace.dtype.names == ("lambda_k", "grad_norm", "alpha_k",
+                                 "backtracks")
+    assert len(trace) == res.iterations + 1 > 3
+    assert trace[-1].alpha_k == 0.0 and trace[-1].backtracks == 0
+    # a row reads by attribute, as its columns do by name
+    assert [r.lambda_k for r in trace] == trace["lambda_k"].tolist()
+    assert [r.backtracks for r in trace] == trace["backtracks"].tolist()
+    assert trace[0].grad_norm == trace["grad_norm"][0] > 0.0
+    assert not trace.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        trace[0] = trace[1]
+    with pytest.raises(ValueError, match="read-only"):
+        trace["alpha_k"][0] = 0.0
 
 
 def test_result_built_without_a_trace_has_an_empty_one():
     res = EigenResult(eigenvalue=1.0, x=np.ones(1), residual=0.0,
                       iterations=0, termination=Termination.CONVERGED)
-    assert len(res.trace) == 0 and res.trace == [] and list(res.trace) == []
+    assert res.trace.dtype is _ROW and res.trace.shape == (0,)
